@@ -20,20 +20,24 @@ from .hypotheses import (
     hypothesis_sort_key,
     label_branches,
     local_hypotheses,
+    pattern_groups,
 )
 from .detector import (
     Area,
     AreaDecision,
     Detection,
     DetectionError,
+    DetectorPlan,
     InconsistentObservationError,
     Observation,
+    ObservationFormatError,
     build_areas,
     detect,
     detect_centralized_oracle,
     effective_measurement,
     hypothesis_stats,
     observation_from_json,
+    plan_for,
 )
 from .errors import (
     AcceptanceRegion,

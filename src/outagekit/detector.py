@@ -5,7 +5,13 @@ root sensor and its nearest sensed descendants. Subtracting child readings
 from the root reading gives a scalar whose distribution under each local
 hypothesis is Gaussian with moments from subtree-cumulative forecasts, so
 each positive-flow area runs an independent scalar test and the global
-estimate is the union of the local picks. ``detect_centralized_oracle``
+estimate is the union of the local picks.
+
+Everything but the Gaussian moments depends only on the feeder topology and
+the sensor set: the areas, their branch graphs and the hypotheses each
+child-sensor sign pattern allows. A :class:`DetectorPlan` holds that part,
+and :func:`detect` reuses one per topology and sensor set, while every call
+still computes the moments of its own forecasts. ``detect_centralized_oracle``
 solves the same problem as one joint multivariate test over all positive
 sensors; it is exponentially more expensive and exists to validate the
 decoupling.
@@ -23,7 +29,7 @@ from .hypotheses import (
     Hypothesis,
     enumerate_unique,
     hypothesis_sort_key,
-    local_hypotheses,
+    pattern_groups,
 )
 from .network import (
     BranchGraph,
@@ -38,8 +44,11 @@ from .network import (
 __all__ = [
     "DetectionError",
     "InconsistentObservationError",
+    "ObservationFormatError",
     "Area",
     "build_areas",
+    "DetectorPlan",
+    "plan_for",
     "Observation",
     "observation_from_json",
     "effective_measurement",
@@ -53,6 +62,10 @@ __all__ = [
 # flow readings this far below the feeder's total mean load count as zero
 FLOW_EPS_FRACTION = 1e-9
 
+# plans kept by plan_for: one per (feeder topology, sensor set) in recent use
+PLAN_CACHE_SIZE = 8
+_PLANS: dict[tuple[int, tuple[EdgeId, ...]], DetectorPlan] = {}
+
 
 class DetectionError(RuntimeError):
     """Detection cannot proceed (missing readings, empty hypothesis set...)."""
@@ -60,6 +73,15 @@ class DetectionError(RuntimeError):
 
 class InconsistentObservationError(DetectionError):
     """A sensor reads positive below a sensor reading zero: physically impossible."""
+
+
+class ObservationFormatError(ValueError):
+    """An observation holds a reading no sensor can produce (NaN or infinite flow)."""
+
+
+def _check_max_outages(max_outages: int | None) -> None:
+    if max_outages is not None and max_outages < 0:
+        raise ValueError(f"max_outages must be non-negative, got {max_outages}")
 
 
 @dataclass(frozen=True)
@@ -133,6 +155,9 @@ def observation_from_json(data: Mapping[str, object]) -> Observation:
     if not isinstance(data, Mapping) or "flows" not in data:
         raise DetectionError("observation must be an object with a 'flows' mapping")
     flows = {str(k): float(v) for k, v in data["flows"].items()}  # type: ignore[union-attr]
+    for k, v in flows.items():
+        if not math.isfinite(v):
+            raise ObservationFormatError(f"non-finite flow reading {v} for sensor {k!r}")
     forecasts = None
     if data.get("forecasts") is not None:
         forecasts = {str(k): float(v) for k, v in data["forecasts"].items()}  # type: ignore[union-attr]
@@ -205,30 +230,223 @@ class Detection:
         }
 
 
-def _flow_signs(
-    tree: Tree,
-    sensors: tuple[EdgeId, ...],
-    obs: Observation,
-    total_mean: float,
-) -> dict[EdgeId, bool]:
-    eps = max(FLOW_EPS_FRACTION * total_mean, 1e-300)
-    positive: dict[EdgeId, bool] = {}
-    for s in sensors:
-        if s not in obs.flows:
-            raise DetectionError(f"missing flow reading for sensor {s!r}")
-        positive[s] = abs(obs.flows[s]) > eps
-    # a positive reading below a dark sensor is impossible
-    for s in sensors:
-        v = tree.parent[s]
-        while v is not None:
-            if v in positive:
-                if positive[s] and not positive[v]:
-                    raise InconsistentObservationError(
-                        f"sensor {s!r} reads positive below dark sensor {v!r}"
-                    )
-                break
-            v = tree.parent[v]
-    return positive
+def _log_norm(var: float) -> float:
+    """Log-density constant of N(mu, var); ``math.log`` keeps scalar and batch
+    decisions bit for bit equal."""
+    return -0.5 * math.log(2.0 * math.pi * var)
+
+
+class DetectorPlan:
+    """The topology-only part of the decoupled detector for one feeder and sensor set.
+
+    Holds the normalized sensor tuple (root edge included), the areas, each
+    sensor's nearest sensed ancestor and, per area, the hypotheses each
+    child-sensor sign pattern allows. None of it depends on load forecasts,
+    so one plan serves every tree sharing ``tree.parent`` and
+    ``tree.children`` (the trees :meth:`Tree.with_loads` makes). The
+    hypothesis groups are filled per area on first use, keyed by
+    ``(max_outages, cap)``; ``cap`` bounds each area's whole enumeration.
+    """
+
+    def __init__(self, tree: Tree, sensors: Iterable[EdgeId]):
+        self.tree = tree
+        self.sensors = _normalize_sensors(tree, sensors)
+        self.areas = build_areas(tree, self.sensors)
+        self.root_edge = tree.children[tree.root][0]
+        index = {s: i for i, s in enumerate(self.sensors)}
+        self._root_index = index[self.root_edge]
+        # nearest sensed edge strictly above each vertex; the root edge maps to itself
+        above: dict[VertexId, EdgeId] = {tree.root: self.root_edge}
+        for v in tree.order[1:]:
+            p = tree.parent[v]
+            above[v] = p if p in index else above[p]  # type: ignore[index]
+        self._sensed_parent = np.array([index[above[s]] for s in self.sensors], dtype=np.intp)
+        self._area_index = tuple(
+            (index[a.root_sensor], tuple(index[c] for c in a.child_sensors))
+            for a in self.areas
+        )
+        self._groups: dict[tuple[int | None, int], list] = {}
+
+    def hypotheses(
+        self,
+        i: int,
+        key: tuple[bool, ...],
+        *,
+        max_outages: int | None,
+        cap: int,
+    ) -> tuple[Hypothesis, ...]:
+        """Hypotheses of area ``i`` consistent with child-sensor signs ``key``.
+
+        ``key`` gives the signs (True = positive) of the area's
+        ``child_sensors`` in order. The result is in
+        :func:`hypothesis_sort_key` order, and empty when no hypothesis fits.
+        """
+        per_area = self._groups.get((max_outages, cap))
+        if per_area is None:
+            _check_max_outages(max_outages)
+            per_area = self._groups[(max_outages, cap)] = [None] * len(self.areas)
+        groups = per_area[i]
+        if groups is None:
+            area = self.areas[i]
+            groups = per_area[i] = pattern_groups(
+                area.graph, area.child_sensors, max_outages=max_outages, cap=cap
+            )
+        return groups.get(key, ())
+
+    def readings(self, flows: Mapping[EdgeId, float]) -> np.ndarray:
+        """Flow readings in ``sensors`` order."""
+        try:
+            return np.array([flows[s] for s in self.sensors], dtype=float)
+        except KeyError as exc:
+            raise DetectionError(f"missing flow reading for sensor {exc.args[0]!r}") from exc
+
+    def signs(self, readings: np.ndarray, total_mean: float) -> np.ndarray:
+        """Which readings are positive; ``readings`` has ``sensors`` as its last axis.
+
+        A reading at most ``FLOW_EPS_FRACTION`` of the total mean load counts
+        as zero. Raises :class:`ObservationFormatError` on a non-finite
+        reading and :class:`InconsistentObservationError` on a positive
+        reading below a zero one.
+        """
+        finite = np.isfinite(readings)
+        if not finite.all():
+            at = tuple(np.argwhere(~finite)[0])
+            raise ObservationFormatError(
+                f"non-finite flow reading {readings[at]} for sensor {self.sensors[at[-1]]!r}"
+            )
+        positive = np.abs(readings) > max(FLOW_EPS_FRACTION * total_mean, 1e-300)
+        bad = positive & ~positive[..., self._sensed_parent]
+        if bad.any():
+            j = int(np.argwhere(bad)[0][-1])
+            raise InconsistentObservationError(
+                f"sensor {self.sensors[j]!r} reads positive below dark sensor "
+                f"{self.sensors[self._sensed_parent[j]]!r}"
+            )
+        return positive
+
+    def detect(
+        self,
+        stats: CumulativeStats,
+        flows: Mapping[EdgeId, float],
+        *,
+        max_outages: int | None = 2,
+        rho: float | None = None,
+        cap: int = 1_000_000,
+    ) -> Detection:
+        """:func:`detect` with the moments of ``stats``."""
+        _check_max_outages(max_outages)
+        positive = self.signs(self.readings(flows), stats.total_mean).tolist()
+        if not positive[self._root_index]:
+            return Detection(hypothesis=frozenset({self.root_edge}), areas=())
+
+        log_rho = math.log(rho) if rho is not None else 0.0
+        decisions: list[AreaDecision] = []
+        picks: list[Hypothesis] = []
+        for i, (area, (r, kids)) in enumerate(zip(self.areas, self._area_index)):
+            if not positive[r]:
+                continue
+            key = tuple(positive[j] for j in kids)
+            local = self.hypotheses(i, key, max_outages=max_outages, cap=cap)
+            if not local:
+                raise DetectionError(
+                    f"no hypothesis consistent with flows in area of {area.root_sensor!r}"
+                )
+            pattern = dict(zip(area.child_sensors, key))
+            ds = effective_measurement(area, flows)
+            # ``local`` is in hypothesis_sort_key order, so keeping the first
+            # maximum breaks ties as _pick does
+            for k, h in enumerate(local):
+                mu, var = hypothesis_stats(area, h, pattern, stats)
+                d = ds - mu
+                ll = _log_norm(var) - d * d / (2.0 * var)
+                if rho is not None:
+                    ll += len(h) * log_rho
+                if k == 0 or ll > best_ll:
+                    best, best_ll = h, ll
+            decisions.append(AreaDecision(area.root_sensor, best, best_ll))
+            picks.append(best)
+
+        combined: frozenset = frozenset().union(*picks) if picks else frozenset()
+        return Detection(hypothesis=combined, areas=tuple(decisions))
+
+    def matches(
+        self,
+        stats: CumulativeStats,
+        readings: np.ndarray,
+        hypothesis: Hypothesis,
+        *,
+        max_outages: int | None = 2,
+        rho: float | None = None,
+        cap: int = 1_000_000,
+    ) -> np.ndarray:
+        """Per row of ``readings`` (trials x ``sensors``): does :meth:`detect` return ``hypothesis``?
+
+        Classifies every trial of an area at once, grouped by the trial's
+        child-sensor sign pattern, with the same arithmetic as
+        :meth:`detect`, so each entry equals comparing that call's result.
+        """
+        _check_max_outages(max_outages)
+        positive = self.signs(readings, stats.total_mean)
+        n = readings.shape[0]
+        root_live = positive[:, self._root_index]
+        if self.root_edge in hypothesis:
+            # no area holds the root edge: only a dark root reports it
+            return ~root_live if hypothesis == {self.root_edge} else np.zeros(n, dtype=bool)
+        ok = root_live.copy()
+        log_rho = math.log(rho) if rho is not None else 0.0
+        for i, (area, (r, kids)) in enumerate(zip(self.areas, self._area_index)):
+            truth = hypothesis.intersection(area.edges)
+            # a dark area decides nothing, so it can hold no true outage
+            area_ok = np.full(n, not truth)
+            rows = np.flatnonzero(positive[:, r])
+            if rows.size:
+                ds = readings[rows, r] - sum(readings[rows, c] for c in kids)
+                keys = positive[np.ix_(rows, kids)]
+                if (keys == keys[:1]).all():
+                    groups = [(keys[0], slice(None))]
+                else:
+                    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+                    groups = [(u, inverse.ravel() == g) for g, u in enumerate(uniq)]
+                for key_arr, sel in groups:
+                    key = tuple(key_arr.tolist())
+                    local = self.hypotheses(i, key, max_outages=max_outages, cap=cap)
+                    if not local:
+                        raise DetectionError(
+                            f"no hypothesis consistent with flows in area of {area.root_sensor!r}"
+                        )
+                    pattern = dict(zip(area.child_sensors, key))
+                    moments = [hypothesis_stats(area, h, pattern, stats) for h in local]
+                    mu = np.array([m for m, _ in moments])
+                    var = np.array([v for _, v in moments])
+                    norm = np.array([_log_norm(v) for _, v in moments])
+                    d = ds[sel, None] - mu
+                    ll = norm - d * d / (2.0 * var)
+                    if rho is not None:
+                        ll = ll + np.array([len(h) * log_rho for h in local])
+                    want = local.index(truth) if truth in local else -1
+                    area_ok[rows[sel]] = ll.argmax(axis=1) == want
+            ok &= area_ok
+        return ok
+
+
+def plan_for(tree: Tree, sensors: Iterable[EdgeId]) -> DetectorPlan:
+    """The plan for ``tree``'s topology and ``sensors``, built once and reused.
+
+    Plans live in a small module cache keyed by ``(id(tree.parent), sensors)``.
+    A hit must hold this very ``parent`` and ``children`` mapping, so trees
+    from :meth:`Tree.with_loads` of one feeder share a plan, while any other
+    topology (even one with the same vertex ids) gets its own.
+    """
+    normalized = _normalize_sensors(tree, sensors)
+    key = (id(tree.parent), normalized)
+    plan = _PLANS.get(key)
+    if plan is None or plan.tree.parent is not tree.parent or plan.tree.children is not tree.children:
+        plan = DetectorPlan(tree, normalized)
+        _PLANS.pop(key, None)
+        while len(_PLANS) >= PLAN_CACHE_SIZE:
+            del _PLANS[next(iter(_PLANS))]
+        _PLANS[key] = plan
+    return plan
 
 
 def _forecast_tree(tree: Tree, obs: Observation) -> Tree:
@@ -260,45 +478,15 @@ def detect(
     Gaussian log-likelihood of its effective measurement (plus ``|H| ln rho``
     when a prior is configured); dark areas are accounted for by the covering
     edge chosen in the nearest live ancestor area. A dark root sensor short-
-    circuits to the root-edge outage.
+    circuits to the root-edge outage. Ties go to the first hypothesis in
+    :func:`hypothesis_sort_key` order.
+
+    The topology-only work comes from :func:`plan_for`, so repeated calls on
+    one feeder and sensor set build areas and hypothesis groups once.
     """
-    sensor_list = _normalize_sensors(tree, sensors)
-    ftree = _forecast_tree(tree, obs)
-    stats = cumulative_stats(ftree)
-    positive = _flow_signs(tree, sensor_list, obs, stats.total_mean)
-
-    root_edge = tree.children[tree.root][0]
-    if not positive[root_edge]:
-        return Detection(hypothesis=frozenset({root_edge}), areas=())
-
-    log_rho = math.log(rho) if rho is not None else 0.0
-    decisions: list[AreaDecision] = []
-    picks: list[Hypothesis] = []
-    for area in build_areas(tree, sensor_list):
-        if not positive[area.root_sensor]:
-            continue
-        pattern = {c: positive[c] for c in area.child_sensors}
-        local = local_hypotheses(
-            area.graph, pattern, max_outages=max_outages, cap=cap
-        )
-        if not local:
-            raise DetectionError(
-                f"no hypothesis consistent with flows in area of {area.root_sensor!r}"
-            )
-        ds = effective_measurement(area, obs.flows)
-        scored: list[tuple[Hypothesis, float]] = []
-        for h in local:
-            mu, var = hypothesis_stats(area, h, pattern, stats)
-            ll = -0.5 * math.log(2.0 * math.pi * var) - (ds - mu) ** 2 / (2.0 * var)
-            if rho is not None:
-                ll += len(h) * log_rho
-            scored.append((h, ll))
-        hyp, ll = _pick(scored)
-        decisions.append(AreaDecision(area.root_sensor, hyp, ll))
-        picks.append(hyp)
-
-    combined: frozenset = frozenset().union(*picks) if picks else frozenset()
-    return Detection(hypothesis=combined, areas=tuple(decisions))
+    plan = plan_for(tree, sensors)
+    stats = cumulative_stats(_forecast_tree(tree, obs))
+    return plan.detect(stats, obs.flows, max_outages=max_outages, rho=rho, cap=cap)
 
 
 def detect_centralized_oracle(
@@ -318,10 +506,10 @@ def detect_centralized_oracle(
     """
     from scipy.stats import multivariate_normal
 
-    sensor_list = _normalize_sensors(tree, sensors)
-    ftree = _forecast_tree(tree, obs)
-    stats = cumulative_stats(ftree)
-    positive = _flow_signs(tree, sensor_list, obs, stats.total_mean)
+    plan = plan_for(tree, sensors)
+    sensor_list = plan.sensors
+    stats = cumulative_stats(_forecast_tree(tree, obs))
+    positive = dict(zip(sensor_list, plan.signs(plan.readings(obs.flows), stats.total_mean).tolist()))
 
     hypotheses = enumerate_unique(
         branch_decompose(tree), max_outages=max_outages, cap=cap

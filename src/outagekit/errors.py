@@ -21,8 +21,8 @@ from typing import Iterable
 import numpy as np
 
 from .detector import Area, hypothesis_stats
-from .hypotheses import Hypothesis, enumerate_unique
-from .network import CumulativeStats, EdgeId
+from .hypotheses import Hypothesis, pattern_groups
+from .network import CumulativeStats
 
 __all__ = [
     "IndistinguishableHypothesesError",
@@ -287,32 +287,12 @@ def pattern_hypothesis_sets(
 ) -> list[tuple[dict, ScalarHypothesisSet]]:
     """One scalar hypothesis set per satisfiable child-sensor sign pattern.
 
-    Enumerates the area's hypotheses once and groups them by the pattern each
-    induces (a child sensor reads zero exactly when a hypothesis edge sits at
-    or above it), so cost follows the hypothesis count rather than the 2^K
-    sign patterns. The groups partition the enumeration; each equals
-    :func:`local_hypotheses` of its pattern.
+    Groups come from :func:`~outagekit.hypotheses.pattern_groups`, the same
+    route :func:`~outagekit.detector.detect` takes from a sign pattern to its
+    hypotheses; ``cap`` bounds the area's whole enumeration.
     """
-    graph = area.graph
     sensors = sorted(area.child_sensors)
-    owner = {e: b.id for b in graph for e in b.edges}
-    parent = {c: b.id for b in graph for c in b.children}
-    # every edge of a branch on a child sensor's root chain lies at or above
-    # it: the sensor terminates its own branch
-    above: dict[EdgeId, frozenset] = {}
-    for s in sensors:
-        chain = {owner[s]}
-        bid = owner[s]
-        while bid in parent:
-            bid = parent[bid]
-            chain.add(bid)
-        above[s] = frozenset(chain)
-
-    groups: dict[tuple[bool, ...], list[Hypothesis]] = {}
-    for h in enumerate_unique(graph, max_outages=max_outages, cap=cap):
-        hb = {owner[e] for e in h}
-        key = tuple(not (above[s] & hb) for s in sensors)
-        groups.setdefault(key, []).append(h)
+    groups = pattern_groups(area.graph, sensors, max_outages=max_outages, cap=cap)
 
     out: list[tuple[dict, ScalarHypothesisSet]] = []
     for key in sorted(groups):

@@ -19,6 +19,7 @@ __all__ = [
     "EnumerationCapError",
     "hypothesis_sort_key",
     "enumerate_unique",
+    "pattern_groups",
     "label_branches",
     "local_hypotheses",
     "branch_products",
@@ -41,6 +42,24 @@ class EnumerationCapError(RuntimeError):
 def hypothesis_sort_key(h: Hypothesis) -> tuple[int, tuple[EdgeId, ...]]:
     """Deterministic ordering: cardinality first, then sorted edge ids."""
     return (len(h), tuple(sorted(h)))
+
+
+def _merge(
+    combos: list[frozenset], sub: list[frozenset], max_outages: int | None
+) -> list[frozenset]:
+    """Every union of one member of ``combos`` with one of ``sub``, within the bound.
+
+    The two lists draw on disjoint edges, so a union's size is the sum of
+    the sizes.
+    """
+    if max_outages is None:
+        return [a | b if a else b for a in combos for b in sub]
+    return [
+        a | b if a else b
+        for a in combos
+        for b in sub
+        if len(a) + len(b) <= max_outages
+    ]
 
 
 def _expand(
@@ -66,14 +85,7 @@ def _expand(
         sub = _expand(graph, child, labels, allow_empty, max_outages, cap, counter)
         if allow_empty is None or allow_empty[cid]:
             sub = sub + [frozenset()]
-        merged: list[frozenset] = []
-        for a in combos:
-            for b in sub:
-                u = a | b
-                if max_outages is not None and len(u) > max_outages:
-                    continue
-                merged.append(u)
-        combos = merged
+        combos = _merge(combos, sub, max_outages)
         counter[0] += len(combos)
         if counter[0] > cap:
             raise EnumerationCapError(f"hypothesis enumeration exceeded cap of {cap}")
@@ -104,19 +116,16 @@ def _combine_roots(
         sub = _expand(graph, root, labels, allow_empty, max_outages, cap, counter)
         if allow_empty is None or allow_empty[rid]:
             sub = sub + [frozenset()]
-        merged = []
-        for a in combos:
-            for b in sub:
-                u = a | b
-                if max_outages is not None and len(u) > max_outages:
-                    continue
-                merged.append(u)
-        combos = merged
+        combos = _merge(combos, sub, max_outages)
         if counter[0] + len(combos) > cap:
             raise EnumerationCapError(f"hypothesis enumeration exceeded cap of {cap}")
     # duplicates cannot arise (edge sets of distinct branches are disjoint),
-    # so a plain sort gives the canonical order
-    return sorted(set(combos), key=hypothesis_sort_key)
+    # so a plain sort gives the canonical order: hypothesis_sort_key, taken
+    # as size buckets each sorted by its sorted edge list
+    by_size: dict[int, list[frozenset]] = {}
+    for h in combos:
+        by_size.setdefault(len(h), []).append(h)
+    return [h for k in sorted(by_size) for h in sorted(by_size[k], key=sorted)]
 
 
 def enumerate_unique(
@@ -131,6 +140,59 @@ def enumerate_unique(
     enumerations with :class:`EnumerationCapError`.
     """
     return tuple(_combine_roots(graph, None, None, max_outages, cap))
+
+
+def pattern_groups(
+    graph: BranchGraph,
+    child_sensors: Iterable[EdgeId],
+    *,
+    max_outages: int | None = None,
+    cap: int = DEFAULT_CAP,
+) -> dict[tuple[bool, ...], tuple[Hypothesis, ...]]:
+    """Hypotheses of one area grouped by the child-sensor sign pattern each induces.
+
+    Keys are flow signs (True = positive) of ``sorted(child_sensors)``. A
+    child sensor reads zero exactly when a hypothesis edge sits at or above
+    it. Enumerates the area once, so cost follows the hypothesis count rather
+    than the 2^K sign patterns, and ``cap`` bounds that whole enumeration.
+    The groups partition :func:`enumerate_unique` of the graph, each in
+    :func:`hypothesis_sort_key` order; each equals :func:`local_hypotheses`
+    of its pattern, and a pattern with no key has no consistent hypothesis.
+    """
+    sensors = sorted(child_sensors)
+    hypotheses = enumerate_unique(graph, max_outages=max_outages, cap=cap)
+    if not sensors:
+        return {(): hypotheses}
+    # each child sensor is the bottom edge of its own branch, so the edges of
+    # a branch sit at or above exactly the sensors ending it or a branch
+    # below it; bit i of darkens[e] marks sensor i as cut off by edge e
+    bits = [1 << i for i in range(len(sensors))]
+    sensor_bit = dict(zip(sensors, bits))
+    order = list(graph.roots)
+    for bid in order:
+        order.extend(graph.branches[bid].children)
+    below: dict[BranchId, int] = {}
+    darkens: dict[EdgeId, int] = {}
+    for bid in reversed(order):
+        b = graph.branches[bid]
+        mask = sensor_bit.get(b.edges[-1], 0) if b.edges else 0
+        for c in b.children:
+            mask |= below[c]
+        below[bid] = mask
+        if mask:
+            for e in b.edges:
+                darkens[e] = mask
+
+    by_dark: dict[int, list[Hypothesis]] = {}
+    for h in hypotheses:
+        dark = 0
+        for e in h:
+            dark |= darkens.get(e, 0)
+        by_dark.setdefault(dark, []).append(h)
+    return {
+        tuple([not dark & bit for bit in bits]): tuple(group)
+        for dark, group in by_dark.items()
+    }
 
 
 def label_branches(

@@ -16,6 +16,7 @@ Design choices
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -98,7 +99,14 @@ class Tree:
         mean: Mapping[VertexId, float] | None = None,
         var: Mapping[VertexId, float] | None = None,
     ) -> "Tree":
-        """Functional update: same topology, new load statistics."""
+        """Functional update: same topology, new load statistics.
+
+        The new tree shares this tree's ``parent`` and ``children`` mappings.
+        Raises :class:`FeederFormatError` naming any id not in the tree.
+        """
+        unknown = sorted({*(mean or ()), *(var or ())} - self.parent.keys())
+        if unknown:
+            raise FeederFormatError(f"loads given for vertices not in the feeder: {unknown}")
         new_mean = dict(self.mean) if mean is None else {**self.mean, **mean}
         new_var = dict(self.var) if var is None else {**self.var, **var}
         new_mean[self.root] = 0.0
@@ -113,9 +121,9 @@ def _check_loads(mean: Mapping[VertexId, float], var: Mapping[VertexId, float], 
             if m != 0.0 or var[v] != 0.0:
                 raise FeederFormatError("root vertex must carry no load")
             continue
-        if not (m >= 0.0):
+        if not (0.0 <= m < math.inf):
             raise FeederFormatError(f"negative or non-finite mean load at {v!r}: {m}")
-        if not (var[v] >= 0.0):
+        if not (0.0 <= var[v] < math.inf):
             raise FeederFormatError(f"negative or non-finite load variance at {v!r}: {var[v]}")
 
 
@@ -224,35 +232,37 @@ def branch_decompose(
     """
     sensor_set = set(sensors)
     edge_set = set(tree.edges) if within is None else set(within)
+    parent = tree.parent
+    children = tree.children
     for e in sensor_set | edge_set:
-        if e not in tree.parent or e == tree.root:
+        if e not in parent or e == tree.root:
             raise FeederFormatError(f"unknown edge id {e!r}")
 
-    # children of an edge within the subset
-    def sub_children(e: EdgeId) -> list[EdgeId]:
-        return [c for c in tree.children[e] if c in edge_set]
-
     # top edges: parent edge missing from the subset
-    tops = [e for e in edge_set if tree.parent[e] not in edge_set]
-    tops.sort()
+    tops = sorted(e for e in edge_set if parent[e] not in edge_set)
 
+    # iterative depth-first growth; a branch is stored after every branch
+    # below it, children in tree order, and a finished branch is pushed as a
+    # (top, path, kids) record
     branches: dict[BranchId, Branch] = {}
-
-    def grow(top: EdgeId) -> BranchId:
-        path = [top]
+    stack: list = tops[::-1]
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            top, path, kids = item
+            branches[top] = Branch(id=top, edges=tuple(path), children=kids)
+            continue
+        path = [item]
         while True:
             last = path[-1]
-            nxt = sub_children(last)
+            nxt = [c for c in children[last] if c in edge_set]
             if len(nxt) != 1 or last in sensor_set:
                 break
             path.append(nxt[0])
-        kids = tuple(grow(c) for c in sub_children(path[-1]))
-        bid = path[0]
-        branches[bid] = Branch(id=bid, edges=tuple(path), children=kids)
-        return bid
-
-    roots = tuple(grow(t) for t in tops)
-    return BranchGraph(branches=branches, roots=roots)
+        kids = tuple(nxt)
+        stack.append((item, path, kids))
+        stack.extend(reversed(kids))
+    return BranchGraph(branches=branches, roots=tuple(tops))
 
 
 @dataclass(frozen=True)

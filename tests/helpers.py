@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Mapping
+
+import numpy as np
 
 from outagekit.network import Branch, BranchGraph, Tree, build_tree
 
@@ -156,3 +159,35 @@ def area_rooted(tree: Tree, sensors, root: str):
     from outagekit.detector import build_areas
 
     return next(a for a in build_areas(tree, sensors) if a.root_sensor == root)
+
+
+def per_trial_detection_rate(
+    tree: Tree,
+    sensors,
+    h_true,
+    n_trials: int,
+    *,
+    seed: int = 0,
+    max_outages: int | None = 2,
+    rho: float | None = None,
+) -> tuple[float, float]:
+    """Reference Monte Carlo: one ``simulate_outage`` and one ``detect`` per trial.
+
+    The trials share one generator seeded with ``seed``, so a batched
+    estimator drawing the same stream must return exactly this pair.
+    """
+    from outagekit.detector import detect
+    from outagekit.sim import simulate_outage
+
+    sensor_list = tuple(sensors)
+    hyp = frozenset(h_true)
+    rng = np.random.default_rng(seed)
+    wrong = 0
+    for _ in range(n_trials):
+        obs = simulate_outage(tree, sensor_list, hyp, rng=rng)
+        est = detect(tree, sensor_list, obs, max_outages=max_outages, rho=rho)
+        if est.hypothesis != hyp:
+            wrong += 1
+    p = wrong / n_trials
+    se = math.sqrt(max(p * (1.0 - p), 1.0 / n_trials) / n_trials)
+    return p, se

@@ -233,3 +233,41 @@ def test_unknown_command(capsys):
     code, _, err = run(capsys, ["frobnicate"])
     assert code == 1
     assert "error" in err
+
+
+def test_simulate_rejects_zero_trials(capsys, trap_feeder):
+    code, out, err = run(
+        capsys, ["simulate", "--feeder", trap_feeder, "--outage", "e3", "--trials", "0"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "n_trials" in err and "Traceback" not in err
+
+
+def test_detect_rejects_negative_outage_bound(capsys, five_edge_feeder, tmp_path):
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"flows": {"e1": 4.0}}))
+    code, out, err = run(
+        capsys,
+        ["detect", "--feeder", five_edge_feeder, "--obs", str(obs), "--max-outages", "-1"],
+    )
+    assert code == 1
+    assert out == ""
+    assert "max_outages" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ('{"flows": {"e1": NaN}}', "e1"),
+        ('{"flows": {"e1": Infinity}}', "e1"),
+        ('{"flows": {"e1": 4.0}, "forecasts": {"e2": 1.0, "zz": 1.0}}', "zz"),
+    ],
+)
+def test_detect_rejects_malformed_observation(capsys, five_edge_feeder, tmp_path, doc, named):
+    obs = tmp_path / "obs.json"
+    obs.write_text(doc)
+    code, out, err = run(capsys, ["detect", "--feeder", five_edge_feeder, "--obs", str(obs)])
+    assert code == 1
+    assert out == ""
+    assert named in err and "Traceback" not in err

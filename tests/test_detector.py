@@ -8,16 +8,20 @@ import pytest
 from helpers import DEEP_PARENTS, FIVE_EDGE_PARENTS, TRAP_PARENTS, TRAP_VARS, tree_from
 from outagekit.detector import (
     DetectionError,
+    DetectorPlan,
     InconsistentObservationError,
     Observation,
+    ObservationFormatError,
     build_areas,
     detect,
     detect_centralized_oracle,
     effective_measurement,
     hypothesis_stats,
     observation_from_json,
+    plan_for,
 )
-from outagekit.network import cumulative_stats
+from outagekit.network import FeederFormatError, build_tree, cumulative_stats
+from outagekit.placement import PlacementConfig, solve_feasibility
 from outagekit.sim import ForecastModel, random_tree, simulate_outage
 
 
@@ -208,3 +212,80 @@ def test_detection_report_shape(trap_tree):
     assert set(doc) == {"global", "areas"}
     assert doc["global"] == sorted(det.hypothesis)
     assert {a["root"] for a in doc["areas"]} == {"e1", "e5"}
+
+
+def test_plan_cache_keeps_topologies_apart():
+    # same vertex ids, different parents: v3 hangs below v2, then below v1
+    chain = tree_from({"v1": "v0", "v2": "v1", "v3": "v2"}, variances=1e-4)
+    fork = tree_from({"v1": "v0", "v2": "v1", "v3": "v1"}, variances=1e-4)
+    assert plan_for(chain, ["v1"]) is not plan_for(fork, ["v1"])
+    assert plan_for(chain, ["v1"]).areas[0].graph != plan_for(fork, ["v1"]).areas[0].graph
+    # losing v2's load means cutting v2 alone on the fork, but v3 goes with it on the chain
+    obs = Observation(flows={"v1": 2.0})
+    assert detect(chain, ["v1"], obs).hypothesis == frozenset({"v3"})
+    assert detect(fork, ["v1"], obs).hypothesis == frozenset({"v2"})
+    obs = Observation(flows={"v1": 1.0})
+    assert detect(chain, ["v1"], obs).hypothesis == frozenset({"v2"})
+    assert detect(fork, ["v1"], obs).hypothesis == frozenset({"v2", "v3"})
+
+
+def test_plan_cache_keys_on_sensor_set(deep_tree):
+    one = plan_for(deep_tree, ["e1"])
+    two = plan_for(deep_tree, ["e1", "e11"])
+    assert one is not two
+    assert [a.root_sensor for a in two.areas] == ["e1", "e11"]
+    # the root edge is metered implicitly, so these name the same set
+    assert plan_for(deep_tree, []) is one
+    assert plan_for(deep_tree.with_loads(mean={"e4": 3.0}), ["e11"]) is two
+
+
+def test_reused_plan_matches_fresh_forecast_tree():
+    tree = ForecastModel("fixed_kappa", kappa=0.3).apply(random_tree(80, seed=21))
+    sensors = solve_feasibility(tree, 0.2, config=PlacementConfig(max_outages=2)).sensors
+    rng = random.Random(5)
+    edges = list(tree.edges)
+    for i in range(30):
+        truth = frozenset(rng.sample(edges[1:], k=i % 3))
+        flows = simulate_outage(tree, sensors, truth, seed=i).flows
+        factor = rng.uniform(0.9, 1.1)
+        means = {v: tree.mean[v] * factor for v in edges}
+        got = detect(tree, sensors, Observation(flows=flows, forecasts=means))
+        # rebuilt from records: new parent and children mappings, a new plan
+        fresh = build_tree(
+            {"id": v, "parent": tree.parent[v], "mean": means.get(v, 0.0), "var": tree.var[v]}
+            for v in tree.order
+        )
+        assert plan_for(fresh, sensors) is not plan_for(tree, sensors)
+        assert got == detect(fresh, sensors, Observation(flows=flows))
+
+
+def test_tie_break_survives_plan_reuse(five_edge_tree):
+    plan = DetectorPlan(five_edge_tree, ["e1"])
+    stats = cumulative_stats(five_edge_tree)
+    assert plan.detect(stats, {"e1": 5.0}).hypothesis == frozenset()
+    for _ in range(2):
+        det = detect(five_edge_tree, ["e1"], Observation(flows={"e1": 4.0}))
+        assert det.hypothesis == frozenset({"e4"})
+        assert plan.detect(stats, {"e1": 4.0}) == det
+
+
+def test_detect_rejects_non_finite_flows(five_edge_tree):
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ObservationFormatError, match="non-finite"):
+            detect(five_edge_tree, ["e1"], Observation(flows={"e1": bad}))
+        with pytest.raises(ObservationFormatError, match="'e1'"):
+            observation_from_json({"flows": {"e1": bad}})
+
+
+def test_detect_rejects_unknown_forecast_ids(five_edge_tree):
+    obs = Observation(flows={"e1": 5.0}, forecasts={"e2": 1.0, "zz": 1.0})
+    with pytest.raises(FeederFormatError, match="zz"):
+        detect(five_edge_tree, ["e1"], obs)
+
+
+def test_negative_outage_bound_is_rejected(five_edge_tree):
+    obs = Observation(flows={"e1": 0.0})
+    with pytest.raises(ValueError, match="max_outages"):
+        detect(five_edge_tree, ["e1"], obs, max_outages=-1)
+    with pytest.raises(ValueError, match="max_outages"):
+        DetectorPlan(five_edge_tree, ["e1"]).hypotheses(0, (), max_outages=-1, cap=100)

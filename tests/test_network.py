@@ -121,6 +121,29 @@ def test_with_loads_keeps_topology_and_checks(five_edge_tree):
         five_edge_tree.with_loads(mean={"e1": -2.0})
 
 
+def test_with_loads_rejects_unknown_and_infinite_loads(five_edge_tree):
+    with pytest.raises(FeederFormatError, match=r"\['yy', 'zz'\]"):
+        five_edge_tree.with_loads(mean={"e2": 1.0, "zz": 1.0}, var={"yy": 1.0})
+    with pytest.raises(FeederFormatError, match="mean"):
+        five_edge_tree.with_loads(mean={"e2": float("inf")})
+    with pytest.raises(FeederFormatError, match="variance"):
+        five_edge_tree.with_loads(var={"e2": float("inf")})
+
+
+def test_branch_decompose_deep_comb_needs_no_recursion():
+    # every spine vertex is a junction, so branches nest as deep as the spine
+    n = 3000
+    parents = {"s1": "root"}
+    for i in range(2, n + 1):
+        parents[f"s{i}"] = f"s{i - 1}"
+        parents[f"t{i}"] = f"s{i - 1}"
+    graph = branch_decompose(tree_from(parents))
+    assert len(graph.branches) == 2 * n - 1
+    assert graph.roots == ("s1",)
+    assert graph.branches[f"s{n - 1}"].children == (f"s{n}", f"t{n}")
+    assert graph.edge_count() == 2 * n - 1
+
+
 def test_branch_decompose_five_edge(five_edge_tree):
     graph = branch_decompose(five_edge_tree)
     assert branch_edge_sets(graph) == {

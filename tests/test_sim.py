@@ -8,7 +8,7 @@ import statistics
 
 import pytest
 
-from helpers import FIVE_EDGE_PARENTS, tree_from
+from helpers import DEEP_PARENTS, FIVE_EDGE_PARENTS, per_trial_detection_rate, tree_from
 from outagekit.detector import build_areas
 from outagekit.errors import all_missed_detection, pattern_hypothesis_sets
 from outagekit.network import build_tree, cumulative_stats
@@ -147,6 +147,38 @@ def test_empirical_rate_matches_analytic_single_area():
     assert analytic == pytest.approx(0.1083, abs=2e-4)
     rate, se = empirical_detection_rate(tree, ("A", "D"), truth, 20_000, seed=5)
     assert abs(rate - analytic) <= 3.0 * se
+
+
+def test_batched_rate_equals_per_trial_loop():
+    cases = []
+    for seed in (1, 2, 3):
+        tree = ForecastModel("fixed_kappa", kappa=0.3).apply(random_tree(40, seed=seed))
+        edges = list(tree.edges)
+        sensors = sorted({edges[0], *edges[::4]})
+        cases.append((tree, sensors, frozenset({edges[7]}), None))
+        cases.append((tree, sensors, frozenset({edges[5], edges[20]}), 0.2))
+        cases.append((tree, sensors, frozenset(), None))
+    # equal loads: {e4} and {e5} tie on every draw, and ties go to {e4}
+    equal = tree_from(FIVE_EDGE_PARENTS, variances=0.01)
+    cases.append((equal, ["e1"], frozenset({"e5"}), None))
+    cases.append((equal, ["e1"], frozenset({"e4"}), None))
+    # the outage darkens child sensor e11 and its whole area
+    deep = tree_from(DEEP_PARENTS, variances=0.02)
+    cases.append((deep, ["e1", "e11", "e14"], frozenset({"e9"}), None))
+    cases.append((deep, ["e1", "e11", "e14"], frozenset({"e13", "e5"}), None))
+    for tree, sensors, truth, rho in cases:
+        for seed in (0, 7):
+            want = per_trial_detection_rate(tree, sensors, truth, 150, seed=seed, rho=rho)
+            got = empirical_detection_rate(tree, sensors, truth, 150, seed=seed, rho=rho)
+            assert got == want
+    assert empirical_detection_rate(equal, ["e1"], frozenset({"e5"}), 50)[0] == 1.0
+
+
+def test_empirical_rate_rejects_bad_counts(five_edge_tree):
+    with pytest.raises(ValueError, match="n_trials"):
+        empirical_detection_rate(five_edge_tree, ["e1"], frozenset(), 0)
+    with pytest.raises(ValueError, match="max_outages"):
+        empirical_detection_rate(five_edge_tree, ["e1"], frozenset(), 10, max_outages=-1)
 
 
 def test_sweep_small_grid(tmp_path):
