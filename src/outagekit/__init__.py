@@ -31,6 +31,7 @@ from .detector import (
     InconsistentObservationError,
     Observation,
     ObservationFormatError,
+    build_area,
     build_areas,
     detect,
     detect_centralized_oracle,
@@ -45,6 +46,7 @@ from .errors import (
     ScalarHypothesisSet,
     acceptance_regions,
     all_missed_detection,
+    area_errors,
     area_max_error,
     area_min_correct,
     max_missed_detection,

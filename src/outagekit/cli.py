@@ -161,7 +161,6 @@ def _cmd_sweep(args) -> None:
         "max_outages",
         "max_children",
         "mean_range",
-        "threads",
     }
     fields = {k: v for k, v in raw.items() if k in known}
     for key in ("kappas", "targets", "mean_range"):
@@ -169,8 +168,6 @@ def _cmd_sweep(args) -> None:
             fields[key] = tuple(fields[key])
     if args.seed is not None:
         fields["seed"] = args.seed
-    if args.threads is not None:
-        fields["threads"] = args.threads
     config = SweepConfig(**fields)
     result = sweep(config)
 
@@ -228,7 +225,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="sweep config JSON file")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 import numpy as np
 
 from .hypotheses import (
     Hypothesis,
+    _check_max_outages,
     enumerate_unique,
     hypothesis_sort_key,
     pattern_groups,
@@ -46,6 +47,7 @@ __all__ = [
     "InconsistentObservationError",
     "ObservationFormatError",
     "Area",
+    "build_area",
     "build_areas",
     "DetectorPlan",
     "plan_for",
@@ -79,11 +81,6 @@ class ObservationFormatError(ValueError):
     """An observation holds a reading no sensor can produce (NaN or infinite flow)."""
 
 
-def _check_max_outages(max_outages: int | None) -> None:
-    if max_outages is not None and max_outages < 0:
-        raise ValueError(f"max_outages must be non-negative, got {max_outages}")
-
-
 @dataclass(frozen=True)
 class Area:
     """Partition cell between one root sensor and its nearest sensed descendants.
@@ -111,36 +108,37 @@ def _normalize_sensors(tree: Tree, sensors: Iterable[EdgeId]) -> tuple[EdgeId, .
     return tuple(sorted(out))
 
 
+def build_area(tree: Tree, root_sensor: EdgeId, sensor_set: Container[EdgeId]) -> Area:
+    """The area that a sensor at ``root_sensor`` owns when ``sensor_set`` is metered."""
+    child_sensors: list[EdgeId] = []
+    edges: list[EdgeId] = []
+    vertices: set[VertexId] = {root_sensor}
+    stack = list(tree.children[root_sensor])
+    while stack:
+        e = stack.pop()
+        edges.append(e)
+        if e in sensor_set:
+            child_sensors.append(e)
+            continue  # everything below belongs to the child's own area
+        vertices.add(e)
+        stack.extend(tree.children[e])
+    edges.sort()
+    child_sensors.sort()
+    graph = branch_decompose(tree, child_sensors, within=edges)
+    return Area(
+        root_sensor=root_sensor,
+        child_sensors=tuple(child_sensors),
+        vertices=frozenset(vertices),
+        edges=tuple(edges),
+        graph=graph,
+    )
+
+
 def build_areas(tree: Tree, sensors: Iterable[EdgeId]) -> tuple[Area, ...]:
     """One area per sensor. The root edge is metered implicitly."""
-    sensor_set = set(_normalize_sensors(tree, sensors))
-    areas = []
-    for s in sorted(sensor_set):
-        child_sensors: list[EdgeId] = []
-        edges: list[EdgeId] = []
-        vertices: set[VertexId] = {s}
-        stack = list(tree.children[s])
-        while stack:
-            e = stack.pop()
-            edges.append(e)
-            if e in sensor_set:
-                child_sensors.append(e)
-                continue  # everything below belongs to the child's own area
-            vertices.add(e)
-            stack.extend(tree.children[e])
-        edges.sort()
-        child_sensors.sort()
-        graph = branch_decompose(tree, child_sensors, within=edges)
-        areas.append(
-            Area(
-                root_sensor=s,
-                child_sensors=tuple(child_sensors),
-                vertices=frozenset(vertices),
-                edges=tuple(edges),
-                graph=graph,
-            )
-        )
-    return tuple(areas)
+    normalized = _normalize_sensors(tree, sensors)
+    sensor_set = set(normalized)
+    return tuple(build_area(tree, s, sensor_set) for s in normalized)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "max_missed_detection",
     "monte_carlo_error",
     "pattern_hypothesis_sets",
+    "area_errors",
     "area_max_error",
     "area_min_correct",
 ]
@@ -124,6 +126,21 @@ class AcceptanceRegion:
     intervals: tuple[tuple[float, float], ...]
 
 
+# index pairs are kept for sets up to this size, about 6 MB in all; a larger
+# set's partition costs far more than building its pairs afresh
+PAIR_CACHE_MAX = 128
+
+
+@cache
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(n, k=1)``. Set sizes repeat, and for a small
+    set building the pairs costs as much as the rest of its partition."""
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
 def _winner_partition(hset: ScalarHypothesisSet) -> list[tuple[float, float, int]]:
     """(lo, hi, winner index) pieces tiling the real line.
 
@@ -138,7 +155,7 @@ def _winner_partition(hset: ScalarHypothesisSet) -> list[tuple[float, float, int
     var = np.asarray(hset.variances)
     w = np.asarray(hset.log_priors)
 
-    i, j = np.triu_indices(n, k=1)
+    i, j = _pair_indices(n) if n <= PAIR_CACHE_MAX else np.triu_indices(n, k=1)
     a = 0.5 / var[j] - 0.5 / var[i]
     b = mu[i] / var[i] - mu[j] / var[j]
     c = (
@@ -302,6 +319,29 @@ def pattern_hypothesis_sets(
     return out
 
 
+def area_errors(
+    area: Area,
+    stats: CumulativeStats,
+    *,
+    max_outages: int | None,
+    cap: int,
+    rho: float | None,
+) -> tuple[float, ...]:
+    """Missed detection of every hypothesis of every satisfiable sign pattern.
+
+    Values follow :func:`pattern_hypothesis_sets` order, patterns first and
+    each pattern's hypotheses within it. A pattern with a single hypothesis
+    contributes zero error.
+    """
+    out: list[float] = []
+    for _, hset in pattern_hypothesis_sets(area, stats, max_outages=max_outages, cap=cap, rho=rho):
+        if len(hset) == 1:
+            out.append(0.0)
+        else:
+            out.extend(all_missed_detection(hset))
+    return tuple(out)
+
+
 def area_max_error(
     area: Area,
     stats: CumulativeStats,
@@ -315,12 +355,7 @@ def area_max_error(
     Patterns with no consistent hypothesis are skipped; a pattern with a
     single hypothesis contributes zero error.
     """
-    worst = 0.0
-    for _, hset in pattern_hypothesis_sets(area, stats, max_outages=max_outages, cap=cap, rho=rho):
-        if len(hset) == 1:
-            continue
-        worst = max(worst, max_missed_detection(hset))
-    return worst
+    return max(area_errors(area, stats, max_outages=max_outages, cap=cap, rho=rho), default=0.0)
 
 
 def area_min_correct(

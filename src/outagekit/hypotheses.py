@@ -39,6 +39,11 @@ class EnumerationCapError(RuntimeError):
     """Hypothesis count exceeded the configured cap."""
 
 
+def _check_max_outages(max_outages: int | None) -> None:
+    if max_outages is not None and max_outages < 0:
+        raise ValueError(f"max_outages must be non-negative, got {max_outages}")
+
+
 def hypothesis_sort_key(h: Hypothesis) -> tuple[int, tuple[EdgeId, ...]]:
     """Deterministic ordering: cardinality first, then sorted edge ids."""
     return (len(h), tuple(sorted(h)))
@@ -136,9 +141,11 @@ def enumerate_unique(
 ) -> tuple[Hypothesis, ...]:
     """All antichain outage hypotheses of a branch graph, including ∅.
 
-    ``max_outages`` bounds hypothesis cardinality; ``cap`` aborts runaway
-    enumerations with :class:`EnumerationCapError`.
+    ``max_outages`` bounds hypothesis cardinality and must be non-negative
+    (``ValueError`` otherwise); ``cap`` aborts runaway enumerations with
+    :class:`EnumerationCapError`.
     """
+    _check_max_outages(max_outages)
     return tuple(_combine_roots(graph, None, None, max_outages, cap))
 
 

@@ -18,18 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Container, Iterable
 
-from .detector import Area, build_areas
-from .errors import area_max_error
-from .network import (
-    CumulativeStats,
-    EdgeId,
-    Tree,
-    VertexId,
-    branch_decompose,
-    cumulative_stats,
-)
+from .detector import build_area, build_areas
+from .errors import area_errors, area_max_error
+from .hypotheses import _check_max_outages
+from .network import EdgeId, Tree, branch_decompose, cumulative_stats
 
 __all__ = [
     "PlacementError",
@@ -58,6 +52,9 @@ class PlacementConfig:
     cap: int = 1_000_000
     bisect_tol: float = 1e-4
     scenario_cap: int = 100_000
+
+    def __post_init__(self) -> None:
+        _check_max_outages(self.max_outages)
 
 
 @dataclass(frozen=True)
@@ -104,56 +101,56 @@ def generate_edge_order(tree: Tree) -> tuple[EdgeId, ...]:
     return tuple(order)
 
 
-def _single_area(tree: Tree, root_sensor: EdgeId, sensor_set: frozenset) -> Area:
-    """The area that a sensor at ``root_sensor`` would own under ``sensor_set``."""
-    child_sensors: list[EdgeId] = []
-    edges: list[EdgeId] = []
-    vertices: set[VertexId] = {root_sensor}
-    stack = list(tree.children[root_sensor])
-    while stack:
-        e = stack.pop()
-        edges.append(e)
-        if e in sensor_set:
-            child_sensors.append(e)
-            continue
-        vertices.add(e)
-        stack.extend(tree.children[e])
-    edges.sort()
-    child_sensors.sort()
-    graph = branch_decompose(tree, child_sensors, within=edges)
-    return Area(
-        root_sensor=root_sensor,
-        child_sensors=tuple(child_sensors),
-        vertices=frozenset(vertices),
-        edges=tuple(edges),
-        graph=graph,
-    )
+# an area's worst missed detection and its full error vector
+_Row = tuple[float, tuple[float, ...]]
 
 
-class _AreaEvaluator:
-    """Caches area errors by (root sensor, child sensors); placements sharing
-    a cell never pay for it twice."""
+class _AreaTable:
+    """Missed-detection errors of every area met on one forecast tree.
 
-    def __init__(self, tree: Tree, stats: CumulativeStats, config: PlacementConfig):
+    Keyed by (root sensor, child sensors) under one configuration, the table
+    holds each area's :func:`~outagekit.errors.area_errors` vector and its
+    worst entry. A lookup walks the area's edges to find the key and builds
+    the area only on a miss, so placements, targets and bisection steps on
+    the same tree never pay for an area twice.
+    """
+
+    def __init__(self, tree: Tree, config: PlacementConfig):
         self.tree = tree
-        self.stats = stats
+        self.stats = cumulative_stats(tree)
         self.config = config
-        self._cache: dict[tuple[EdgeId, tuple[EdgeId, ...]], float] = {}
+        self._rows: dict[tuple[EdgeId, tuple[EdgeId, ...]], _Row] = {}
 
-    def error(self, root_sensor: EdgeId, sensor_set: frozenset) -> float:
-        area = _single_area(self.tree, root_sensor, sensor_set)
-        key = (root_sensor, area.child_sensors)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = area_max_error(
-                area,
+    def _row(self, root_sensor: EdgeId, sensor_set: Container[EdgeId]) -> _Row:
+        children = self.tree.children
+        child_sensors: list[EdgeId] = []
+        stack = list(children[root_sensor])
+        while stack:
+            e = stack.pop()
+            if e in sensor_set:
+                child_sensors.append(e)
+            else:
+                stack.extend(children[e])
+        key = (root_sensor, tuple(sorted(child_sensors)))
+        row = self._rows.get(key)
+        if row is None:
+            errors = area_errors(
+                build_area(self.tree, root_sensor, sensor_set),
                 self.stats,
                 max_outages=self.config.max_outages,
                 cap=self.config.cap,
                 rho=self.config.rho,
             )
-            self._cache[key] = hit
-        return hit
+            row = self._rows[key] = (max(errors, default=0.0), errors)
+        return row
+
+    def error(self, root_sensor: EdgeId, sensor_set: Container[EdgeId]) -> float:
+        """Worst missed detection of the area below ``root_sensor``."""
+        return self._row(root_sensor, sensor_set)[0]
+
+    def errors(self, root_sensor: EdgeId, sensor_set: Container[EdgeId]) -> tuple[float, ...]:
+        """Every hypothesis's missed detection in the area below ``root_sensor``."""
+        return self._row(root_sensor, sensor_set)[1]
 
 
 def evaluate_areas(
@@ -192,6 +189,18 @@ def solve_feasibility(
     config: PlacementConfig = PlacementConfig(),
 ) -> Placement:
     """Fewest-sensor placement with every area error at or below ``target``."""
+    return _solve(tree, target, mode, config, _AreaTable(tree, config))
+
+
+def _solve(
+    tree: Tree,
+    target: float,
+    mode: str,
+    config: PlacementConfig,
+    table: _AreaTable,
+) -> Placement:
+    """:func:`solve_feasibility` reading area errors from ``table``, which
+    must belong to ``tree`` and ``config``."""
     if not (0.0 < target):
         raise PlacementError(f"target must be positive, got {target}")
     if mode not in ("greedy", "optimal"):
@@ -199,7 +208,6 @@ def solve_feasibility(
 
     order = generate_edge_order(tree)
     root_edge = _root_edge(tree)
-    evaluator = _AreaEvaluator(tree, cumulative_stats(tree), config)
     limit = target + FEAS_SLACK
 
     best: frozenset | None = None
@@ -215,7 +223,7 @@ def solve_feasibility(
             if best is not None and len(m) >= len(best):
                 return
             e = order[i]
-            if evaluator.error(e, m) <= limit:
+            if table.error(e, m) <= limit:
                 i += 1
                 continue
             kids = tree.children[e]
@@ -228,7 +236,7 @@ def solve_feasibility(
             options: list[tuple[float, tuple[EdgeId, ...]]] = []
             for c in range(1, len(kids)):
                 for cut in combinations(sorted(kids), c):
-                    err = evaluator.error(e, m | set(cut))
+                    err = table.error(e, m | set(cut))
                     if err <= limit:
                         options.append((err, cut))
                 if options:
@@ -250,12 +258,13 @@ def solve_feasibility(
     run(0, frozenset())
     if best is None:
         raise PlacementError("no feasible placement found")
-    sensors = tuple(sorted(best | {root_edge}))
+    sensor_set = best | {root_edge}
+    sensors = tuple(sorted(sensor_set))
     return Placement(
         sensors=sensors,
         target=target,
         mode=mode,
-        area_errors=evaluate_areas(tree, sensors, config=config),
+        area_errors=tuple((s, table.error(s, sensor_set)) for s in sensors),
     )
 
 
@@ -269,13 +278,15 @@ def solve_budget(
     """Smallest error target reachable with at most ``budget`` added sensors.
 
     Bisects the target over (0, 1); the added-sensor count is non-increasing
-    in the target, so the feasible region is an interval.
+    in the target, so the feasible region is an interval. All steps share one
+    area table.
     """
     if budget < 0:
         raise PlacementError(f"budget must be non-negative, got {budget}")
+    table = _AreaTable(tree, config)
 
     def fits(t: float) -> Placement | None:
-        p = solve_feasibility(tree, t, mode=mode, config=config)
+        p = _solve(tree, t, mode, config, table)
         return p if p.n_added <= budget else None
 
     hi = 1.0
@@ -321,7 +332,7 @@ def brute_force_placement_oracle(
     candidates = sorted(e for e in tree.edges if e != root_edge)
     if n_added > len(candidates):
         raise PlacementError(f"cannot add {n_added} sensors to {len(candidates)} edges")
-    evaluator = _AreaEvaluator(tree, cumulative_stats(tree), config)
+    table = _AreaTable(tree, config)
 
     best_mm: tuple[float, tuple[EdgeId, ...]] | None = None
     best_mm_prod = 0.0
@@ -333,7 +344,7 @@ def brute_force_placement_oracle(
         worst = 0.0
         prod = 1.0
         for s in sorted(sensor_set):
-            err = evaluator.error(s, sensor_set)
+            err = table.error(s, sensor_set)
             worst = max(worst, err)
             prod *= 1.0 - err
         placement = tuple(sorted(sensor_set))

@@ -14,16 +14,15 @@ import json
 import math
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .detector import Observation, build_areas, plan_for
-from .errors import all_missed_detection, pattern_hypothesis_sets
+from .detector import Observation, plan_for
+from .hypotheses import _check_max_outages
 from .network import EdgeId, Tree, build_tree, cumulative_stats
-from .placement import Placement, PlacementConfig, solve_feasibility
+from .placement import Placement, PlacementConfig, _AreaTable, _solve
 
 __all__ = [
     "KAPPA_LAW_A",
@@ -246,7 +245,9 @@ class SweepConfig:
     max_outages: int | None = 1
     max_children: int = 3
     mean_range: tuple[float, float] = (0.5, 1.5)
-    threads: int = 1
+
+    def __post_init__(self) -> None:
+        _check_max_outages(self.max_outages)
 
 
 @dataclass(frozen=True)
@@ -265,41 +266,18 @@ class SweepResult:
     histograms: dict = field(default_factory=dict)  # (kappa, target) -> tuple of errors
 
 
-def _error_distribution(tree: Tree, placement: Placement, config: SweepConfig) -> tuple[float, ...]:
+def _error_distribution(table: _AreaTable, placement: Placement) -> tuple[float, ...]:
     """Analytic missed detection of every (area, pattern, hypothesis) triple."""
-    stats = cumulative_stats(tree)
-    pconfig = PlacementConfig(max_outages=config.max_outages)
-    errors: list[float] = []
-    for area in build_areas(tree, placement.sensors):
-        for _, hset in pattern_hypothesis_sets(
-            area, stats, max_outages=pconfig.max_outages, cap=pconfig.cap, rho=pconfig.rho
-        ):
-            errors.extend(all_missed_detection(hset))
-    return tuple(errors)
-
-
-def _grid_point(args: tuple) -> tuple[SweepRow, tuple[float, ...]]:
-    tree, kappa, target, config = args
-    pconfig = PlacementConfig(max_outages=config.max_outages)
-    placement = solve_feasibility(tree, target, mode=config.mode, config=pconfig)
-    hist = _error_distribution(tree, placement, config)
-    n_edges = len(tree.edges)
-    row = SweepRow(
-        kappa=kappa,
-        target=target,
-        n_sensors=len(placement.sensors),
-        density=len(placement.sensors) / n_edges,
-        mean_err=float(np.mean(hist)) if hist else 0.0,
-        max_err=float(np.max(hist)) if hist else 0.0,
-    )
-    return row, hist
+    sensor_set = frozenset(placement.sensors)
+    return tuple(e for s in placement.sensors for e in table.errors(s, sensor_set))
 
 
 def sweep(config: SweepConfig = SweepConfig()) -> SweepResult:
     """Placement density and error distribution over a (kappa, target) grid.
 
     One tree per kappa (same topology seed, rescaled forecast deviations), so
-    the target axis isolates the effect of the error budget.
+    the target axis isolates the effect of the error budget. The targets of
+    one kappa share an area table, so each area is evaluated once per tree.
     """
     base = random_tree(
         config.n_vertices,
@@ -307,23 +285,26 @@ def sweep(config: SweepConfig = SweepConfig()) -> SweepResult:
         max_children=config.max_children,
         mean_range=config.mean_range,
     )
-    tasks = []
-    for kappa in config.kappas:
-        tree = ForecastModel(mode="fixed_kappa", kappa=kappa).apply(base)
-        for target in config.targets:
-            tasks.append((tree, kappa, target, config))
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(_grid_point, tasks))
-    else:
-        outcomes = [_grid_point(t) for t in tasks]
-
+    pconfig = PlacementConfig(max_outages=config.max_outages)
     rows = []
     hists = {}
-    for (row, hist), (_, kappa, target, _) in zip(outcomes, tasks):
-        rows.append(row)
-        hists[(kappa, target)] = hist
+    for kappa in config.kappas:
+        tree = ForecastModel(mode="fixed_kappa", kappa=kappa).apply(base)
+        table = _AreaTable(tree, pconfig)
+        for target in config.targets:
+            placement = _solve(tree, target, config.mode, pconfig, table)
+            hist = _error_distribution(table, placement)
+            rows.append(
+                SweepRow(
+                    kappa=kappa,
+                    target=target,
+                    n_sensors=len(placement.sensors),
+                    density=len(placement.sensors) / len(tree.edges),
+                    mean_err=float(np.mean(hist)) if hist else 0.0,
+                    max_err=float(np.max(hist)) if hist else 0.0,
+                )
+            )
+            hists[(kappa, target)] = hist
     return SweepResult(rows=tuple(rows), histograms=hists)
 
 

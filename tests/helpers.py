@@ -191,3 +191,57 @@ def per_trial_detection_rate(
     p = wrong / n_trials
     se = math.sqrt(max(p * (1.0 - p), 1.0 / n_trials) / n_trials)
     return p, se
+
+
+def area_max_error_oracle(area, stats, *, max_outages, cap, rho) -> float:
+    """Worst missed detection by the per-pattern loop: single-hypothesis
+    patterns are skipped, every other pattern contributes its worst entry."""
+    from outagekit.errors import max_missed_detection, pattern_hypothesis_sets
+
+    worst = 0.0
+    sets = pattern_hypothesis_sets(area, stats, max_outages=max_outages, cap=cap, rho=rho)
+    for _, hset in sets:
+        if len(hset) > 1:
+            worst = max(worst, max_missed_detection(hset))
+    return worst
+
+
+def error_distribution_oracle(tree: Tree, sensors, *, max_outages, cap=1_000_000, rho=None):
+    """Missed detection of every (area, pattern, hypothesis) triple, each area
+    built and evaluated from scratch."""
+    from outagekit.detector import build_areas
+    from outagekit.errors import all_missed_detection, pattern_hypothesis_sets
+    from outagekit.network import cumulative_stats
+
+    stats = cumulative_stats(tree)
+    errors: list[float] = []
+    for area in build_areas(tree, sensors):
+        sets = pattern_hypothesis_sets(area, stats, max_outages=max_outages, cap=cap, rho=rho)
+        for _, hset in sets:
+            errors.extend(all_missed_detection(hset))
+    return tuple(errors)
+
+
+def budget_oracle(tree: Tree, budget: int, *, mode: str, config):
+    """Budget bisection with a fresh ``solve_feasibility`` (and so a fresh
+    area table) at every step."""
+    from outagekit.placement import PlacementError, solve_feasibility
+
+    def fits(t):
+        p = solve_feasibility(tree, t, mode=mode, config=config)
+        return p if p.n_added <= budget else None
+
+    hi = 1.0
+    best = fits(hi)
+    if best is None:
+        raise PlacementError("even the trivial target is over budget")
+    lo = 0.0
+    while hi - lo > config.bisect_tol:
+        mid = 0.5 * (lo + hi)
+        p = fits(mid)
+        if p is None:
+            lo = mid
+        else:
+            hi = mid
+            best = p
+    return best

@@ -257,6 +257,31 @@ def test_detect_rejects_negative_outage_bound(capsys, five_edge_feeder, tmp_path
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate"],
+        ["evaluate"],
+        ["place", "--target", "0.2"],
+        ["place", "--budget", "1"],
+    ],
+)
+def test_planning_rejects_negative_outage_bound(capsys, trap_feeder, argv):
+    code, out, err = run(capsys, argv + ["--feeder", trap_feeder, "--max-outages", "-1"])
+    assert code == 1
+    assert out == ""
+    assert "max_outages" in err and "Traceback" not in err
+
+
+def test_sweep_rejects_negative_outage_bound(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_vertices": 10, "max_outages": -1}))
+    code, out, err = run(capsys, ["sweep", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert out == ""
+    assert "max_outages" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "doc, named",
     [
         ('{"flows": {"e1": NaN}}', "e1"),

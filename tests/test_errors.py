@@ -7,13 +7,14 @@ import random
 import numpy as np
 import pytest
 
-from helpers import TRAP_PARENTS, TRAP_VARS, tree_from
+from helpers import TRAP_PARENTS, TRAP_VARS, area_max_error_oracle, tree_from
 from outagekit.detector import build_areas
 from outagekit.errors import (
     IndistinguishableHypothesesError,
     ScalarHypothesisSet,
     acceptance_regions,
     all_missed_detection,
+    area_errors,
     area_max_error,
     area_min_correct,
     max_missed_detection,
@@ -217,6 +218,31 @@ def test_pattern_sets_match_per_pattern_enumeration():
                 )
                 key = tuple(sorted(pattern.items()))
                 assert got.get(key, set()) == want
+
+
+def test_area_errors_list_every_pattern_hypothesis():
+    rng = random.Random(41)
+    model = ForecastModel("fixed_kappa", kappa=0.25)
+    singletons = 0
+    for _ in range(40):
+        tree = model.apply(random_tree(rng.randint(4, 14), seed=rng.randrange(10**6)))
+        stats = cumulative_stats(tree)
+        root_edge = tree.children[tree.root][0]
+        extra = rng.sample(list(tree.edges), k=min(len(tree.edges), rng.randint(0, 4)))
+        rho = rng.choice([None, 0.05])
+        for area in build_areas(tree, {root_edge, *extra}):
+            kw = dict(max_outages=rng.choice([1, 2]), cap=10**6, rho=rho)
+            errors = area_errors(area, stats, **kw)
+            want: list[float] = []
+            for _, hset in pattern_hypothesis_sets(area, stats, **kw):
+                if len(hset) == 1:
+                    singletons += 1
+                want.extend(all_missed_detection(hset))
+            assert errors == tuple(want)
+            worst = max(errors, default=0.0)
+            assert worst == area_max_error(area, stats, **kw)
+            assert worst == area_max_error_oracle(area, stats, **kw)
+    assert singletons > 0
 
 
 def test_trap_area_values(trap_tree):

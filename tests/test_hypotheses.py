@@ -57,6 +57,11 @@ def test_max_outages_bounds_cardinality(deep_tree):
     assert set(enumerate_unique(graph, max_outages=0)) == {frozenset()}
 
 
+def test_negative_outage_bound_is_rejected(deep_tree):
+    with pytest.raises(ValueError, match="max_outages"):
+        enumerate_unique(branch_decompose(deep_tree), max_outages=-1)
+
+
 def test_enumeration_cap_aborts():
     graph = full_kary_graph(3)
     with pytest.raises(EnumerationCapError):

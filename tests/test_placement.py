@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import TRAP_TARGET, tree_from
+from helpers import TRAP_TARGET, budget_oracle, tree_from
 from outagekit.placement import (
     PlacementConfig,
     PlacementError,
@@ -197,3 +197,33 @@ def test_oracle_product_objective(trap_tree):
 def test_oracle_rejects_oversized_budget(trap_tree):
     with pytest.raises(PlacementError):
         brute_force_placement_oracle(trap_tree, 9)
+
+
+def test_reported_area_errors_equal_independent_evaluation():
+    model = ForecastModel("fixed_kappa", kappa=0.3)
+    config = PlacementConfig(max_outages=2)
+    for seed in range(6):
+        tree = model.apply(random_tree(14, seed=seed))
+        for target in (0.05, 0.1, 0.2, 0.3):
+            for mode in ("greedy", "optimal"):
+                placement = solve_feasibility(tree, target, mode=mode, config=config)
+                assert placement.area_errors == evaluate_areas(
+                    tree, placement.sensors, config=config
+                )
+
+
+def test_budget_equals_fresh_table_per_step(trap_tree):
+    model = ForecastModel("fixed_kappa", kappa=0.3)
+    config = PlacementConfig(max_outages=2)
+    cases = [(trap_tree, 1, "greedy"), (trap_tree, 1, "optimal")]
+    cases += [(model.apply(random_tree(16, seed=seed)), 3, "greedy") for seed in range(3)]
+    cases.append((model.apply(random_tree(12, seed=7)), 2, "optimal"))
+    for tree, budget, mode in cases:
+        assert solve_budget(tree, budget, mode=mode, config=config) == budget_oracle(
+            tree, budget, mode=mode, config=config
+        )
+
+
+def test_negative_outage_bound_is_rejected():
+    with pytest.raises(ValueError, match="max_outages"):
+        PlacementConfig(max_outages=-1)

@@ -6,12 +6,20 @@ import json
 import math
 import statistics
 
+import numpy as np
 import pytest
 
-from helpers import DEEP_PARENTS, FIVE_EDGE_PARENTS, per_trial_detection_rate, tree_from
+from helpers import (
+    DEEP_PARENTS,
+    FIVE_EDGE_PARENTS,
+    error_distribution_oracle,
+    per_trial_detection_rate,
+    tree_from,
+)
 from outagekit.detector import build_areas
 from outagekit.errors import all_missed_detection, pattern_hypothesis_sets
 from outagekit.network import build_tree, cumulative_stats
+from outagekit.placement import PlacementConfig, solve_feasibility
 from outagekit.sim import (
     ForecastModel,
     SweepConfig,
@@ -215,16 +223,30 @@ def test_sweep_small_grid(tmp_path):
     assert len(doc["errors"]) > 0
 
 
-def test_sweep_threads_match_serial():
-    config = SweepConfig(kappas=(0.1,), targets=(0.25, 0.35), n_vertices=24, seed=9)
-    serial = sweep(config)
-    threaded = sweep(
-        SweepConfig(
-            kappas=(0.1,), targets=(0.25, 0.35), n_vertices=24, seed=9, threads=2
-        )
-    )
-    assert serial.rows == threaded.rows
-    assert serial.histograms == threaded.histograms
+def test_sweep_histograms_equal_per_area_recomputation():
+    for config in (
+        SweepConfig(kappas=(0.05, 0.3), targets=(0.05, 0.2, 0.3), n_vertices=40, seed=4),
+        SweepConfig(kappas=(0.2,), targets=(0.1, 0.25), n_vertices=30, seed=8, max_outages=2),
+    ):
+        result = sweep(config)
+        base = random_tree(config.n_vertices, seed=config.seed)
+        for row in result.rows:
+            tree = ForecastModel(mode="fixed_kappa", kappa=row.kappa).apply(base)
+            placement = solve_feasibility(
+                tree, row.target, config=PlacementConfig(max_outages=config.max_outages)
+            )
+            want = error_distribution_oracle(
+                tree, placement.sensors, max_outages=config.max_outages
+            )
+            assert row.n_sensors == len(placement.sensors)
+            assert result.histograms[(row.kappa, row.target)] == want
+            assert row.mean_err == float(np.mean(want))
+            assert row.max_err == max(want)
+
+
+def test_sweep_rejects_negative_outage_bound():
+    with pytest.raises(ValueError, match="max_outages"):
+        SweepConfig(max_outages=-1)
 
 
 def test_dense_noise_grid_point_error_profile():
