@@ -14,12 +14,8 @@ from .network import (
 )
 from .hypotheses import (
     EnumerationCapError,
-    branch_products,
-    conserve_check,
     enumerate_unique,
     hypothesis_sort_key,
-    label_branches,
-    local_hypotheses,
     pattern_groups,
 )
 from .detector import (
@@ -34,7 +30,6 @@ from .detector import (
     build_area,
     build_areas,
     detect,
-    detect_centralized_oracle,
     effective_measurement,
     hypothesis_stats,
     observation_from_json,
@@ -48,18 +43,13 @@ from .errors import (
     all_missed_detection,
     area_errors,
     area_max_error,
-    area_min_correct,
-    max_missed_detection,
     missed_detection,
-    monte_carlo_error,
     pattern_hypothesis_sets,
 )
 from .placement import (
-    OracleResult,
     Placement,
     PlacementConfig,
     PlacementError,
-    brute_force_placement_oracle,
     evaluate_areas,
     generate_edge_order,
     solve_budget,

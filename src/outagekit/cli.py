@@ -15,18 +15,13 @@ import os
 import sys
 from typing import Sequence
 
-from .detector import (
-    DetectionError,
-    build_areas,
-    detect,
-    observation_from_json,
-)
-from .errors import area_max_error
+from .detector import DetectionError, detect, observation_from_json
 from .hypotheses import EnumerationCapError, enumerate_unique
-from .network import FeederFormatError, branch_decompose, cumulative_stats, load_feeder
+from .network import FeederFormatError, branch_decompose, load_feeder
 from .placement import (
     PlacementConfig,
     PlacementError,
+    evaluate_areas,
     solve_budget,
     solve_feasibility,
 )
@@ -76,6 +71,31 @@ def _load_sensor_list(path: str) -> list[str]:
     return [str(e) for e in data]
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_numbers(value: object, n: int | None = None) -> bool:
+    return (
+        isinstance(value, list)
+        and (n is None or len(value) == n)
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+    )
+
+
+# the sweep config keys passed to SweepConfig, with the JSON values each takes
+_SWEEP_FIELDS = {
+    "kappas": ("a list of numbers", _is_numbers),
+    "targets": ("a list of numbers", _is_numbers),
+    "n_vertices": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+    "mode": ("a string", lambda v: isinstance(v, str)),
+    "max_outages": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "max_children": ("an integer", _is_int),
+    "mean_range": ("a list of two numbers", lambda v: _is_numbers(v, 2)),
+}
+
+
 def _parse_outage(text: str | None) -> frozenset:
     if not text:
         return frozenset()
@@ -108,15 +128,10 @@ def _cmd_evaluate(args) -> None:
     tree, sensors = load_feeder(args.feeder)
     if args.placement is not None:
         sensors = tuple(_load_sensor_list(args.placement))
-    stats = cumulative_stats(tree)
-    areas = []
-    worst = 0.0
-    for area in build_areas(tree, sensors):
-        err = area_max_error(
-            area, stats, max_outages=args.max_outages, cap=args.cap, rho=args.rho
-        )
-        worst = max(worst, err)
-        areas.append({"root": area.root_sensor, "error": err})
+    config = PlacementConfig(max_outages=args.max_outages, rho=args.rho, cap=args.cap)
+    rows = evaluate_areas(tree, sensors, config=config)
+    areas = [{"root": root, "error": err} for root, err in rows]
+    worst = max((err for _, err in rows), default=0.0)
     _emit(json.dumps({"areas": areas, "max_error": worst}, indent=2), args.out)
 
 
@@ -152,26 +167,21 @@ def _cmd_sweep(args) -> None:
     raw = _load_json(args.config)
     if not isinstance(raw, dict):
         raise FeederFormatError("sweep config must be a JSON object")
-    known = {
-        "kappas",
-        "targets",
-        "n_vertices",
-        "seed",
-        "mode",
-        "max_outages",
-        "max_children",
-        "mean_range",
-    }
-    fields = {k: v for k, v in raw.items() if k in known}
-    for key in ("kappas", "targets", "mean_range"):
-        if key in fields:
-            fields[key] = tuple(fields[key])
+    fields = {}
+    for key, value in raw.items():
+        if key not in _SWEEP_FIELDS:
+            continue
+        what, valid = _SWEEP_FIELDS[key]
+        if not valid(value):
+            raise FeederFormatError(f"sweep config field {key!r} must be {what}, got {value!r}")
+        fields[key] = tuple(value) if isinstance(value, list) else value
     if args.seed is not None:
         fields["seed"] = args.seed
-    config = SweepConfig(**fields)
-    result = sweep(config)
-
     out_dir = args.out or raw.get("out_dir") or "."
+    if not isinstance(out_dir, str):
+        raise FeederFormatError(f"sweep config field 'out_dir' must be a string, got {out_dir!r}")
+    result = sweep(SweepConfig(**fields))
+
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
     write_sweep_csv(result, csv_path)

@@ -11,10 +11,9 @@ Everything but the Gaussian moments depends only on the feeder topology and
 the sensor set: the areas, their branch graphs and the hypotheses each
 child-sensor sign pattern allows. A :class:`DetectorPlan` holds that part,
 and :func:`detect` reuses one per topology and sensor set, while every call
-still computes the moments of its own forecasts. ``detect_centralized_oracle``
-solves the same problem as one joint multivariate test over all positive
-sensors; it is exponentially more expensive and exists to validate the
-decoupling.
+still computes the moments of its own forecasts. The joint multivariate test
+over all positive sensors that validates the decoupling,
+``detect_centralized_oracle``, is a test oracle in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -25,13 +24,7 @@ from typing import Container, Iterable, Mapping
 
 import numpy as np
 
-from .hypotheses import (
-    Hypothesis,
-    _check_max_outages,
-    enumerate_unique,
-    hypothesis_sort_key,
-    pattern_groups,
-)
+from .hypotheses import Hypothesis, _check_max_outages, pattern_groups
 from .network import (
     BranchGraph,
     CumulativeStats,
@@ -58,7 +51,6 @@ __all__ = [
     "AreaDecision",
     "Detection",
     "detect",
-    "detect_centralized_oracle",
 ]
 
 # flow readings this far below the feeder's total mean load count as zero
@@ -149,16 +141,30 @@ class Observation:
     forecasts: Mapping[VertexId, float] | None = None
 
 
+def _numbers(data: Mapping[str, object], key: str) -> dict[str, float]:
+    """``data[key]`` as an id -> float mapping, or :class:`ObservationFormatError`."""
+    raw = data[key]
+    if not isinstance(raw, Mapping):
+        raise ObservationFormatError(f"'{key}' must map ids to numbers, got {raw!r}")
+    out: dict[str, float] = {}
+    for k, v in raw.items():
+        try:
+            out[str(k)] = float(v)  # type: ignore[arg-type]
+        except (TypeError, ValueError, OverflowError):
+            raise ObservationFormatError(f"'{key}' value for {k!r} is not a number: {v!r}") from None
+    return out
+
+
 def observation_from_json(data: Mapping[str, object]) -> Observation:
     if not isinstance(data, Mapping) or "flows" not in data:
         raise DetectionError("observation must be an object with a 'flows' mapping")
-    flows = {str(k): float(v) for k, v in data["flows"].items()}  # type: ignore[union-attr]
+    flows = _numbers(data, "flows")
     for k, v in flows.items():
         if not math.isfinite(v):
             raise ObservationFormatError(f"non-finite flow reading {v} for sensor {k!r}")
     forecasts = None
     if data.get("forecasts") is not None:
-        forecasts = {str(k): float(v) for k, v in data["forecasts"].items()}  # type: ignore[union-attr]
+        forecasts = _numbers(data, "forecasts")
     return Observation(flows=flows, forecasts=forecasts)
 
 
@@ -352,7 +358,7 @@ class DetectorPlan:
             pattern = dict(zip(area.child_sensors, key))
             ds = effective_measurement(area, flows)
             # ``local`` is in hypothesis_sort_key order, so keeping the first
-            # maximum breaks ties as _pick does
+            # maximum breaks ties by fewest edges, then edge ids
             for k, h in enumerate(local):
                 mu, var = hypothesis_stats(area, h, pattern, stats)
                 d = ds - mu
@@ -454,13 +460,6 @@ def _forecast_tree(tree: Tree, obs: Observation) -> Tree:
     return tree.with_loads(mean=means)
 
 
-def _pick(
-    candidates: list[tuple[Hypothesis, float]],
-) -> tuple[Hypothesis, float]:
-    """Highest log-likelihood; ties broken by fewest edges, then edge ids."""
-    return min(candidates, key=lambda c: (-c[1], hypothesis_sort_key(c[0])))
-
-
 def detect(
     tree: Tree,
     sensors: Iterable[EdgeId],
@@ -485,79 +484,3 @@ def detect(
     plan = plan_for(tree, sensors)
     stats = cumulative_stats(_forecast_tree(tree, obs))
     return plan.detect(stats, obs.flows, max_outages=max_outages, rho=rho, cap=cap)
-
-
-def detect_centralized_oracle(
-    tree: Tree,
-    sensors: Iterable[EdgeId],
-    obs: Observation,
-    *,
-    max_outages: int | None = 2,
-    rho: float | None = None,
-    cap: int = 1_000_000,
-) -> Hypothesis:
-    """Joint MAP over the full unique-hypothesis set; validation reference.
-
-    Scores every hypothesis consistent with the flow signs by the joint
-    Gaussian likelihood of all positive readings (covariances follow sensor
-    nesting). Same tie-breaking as :func:`detect`.
-    """
-    from scipy.stats import multivariate_normal
-
-    plan = plan_for(tree, sensors)
-    sensor_list = plan.sensors
-    stats = cumulative_stats(_forecast_tree(tree, obs))
-    positive = dict(zip(sensor_list, plan.signs(plan.readings(obs.flows), stats.total_mean).tolist()))
-
-    hypotheses = enumerate_unique(
-        branch_decompose(tree), max_outages=max_outages, cap=cap
-    )
-    live = [s for s in sensor_list if positive[s]]
-    readings = np.array([obs.flows[s] for s in live])
-    log_rho = math.log(rho) if rho is not None else 0.0
-
-    scored: list[tuple[Hypothesis, float]] = []
-    for h in hypotheses:
-        ok = True
-        for s in sensor_list:
-            covered = any(tree.is_ancestor_edge(e, s) for e in h)
-            if covered == positive[s]:
-                ok = False
-                break
-        if not ok:
-            continue
-        mean = np.empty(len(live))
-        rem_var = np.empty(len(live))
-        for i, s in enumerate(live):
-            mu = stats.mean_below[s]
-            var = stats.var_below[s]
-            for e in h:
-                if e != s and tree.is_ancestor_edge(s, e):
-                    mu -= stats.mean_below[e]
-                    var -= stats.var_below[e]
-            mean[i] = mu
-            rem_var[i] = var
-        cov = np.zeros((len(live), len(live)))
-        for i, si in enumerate(live):
-            for j, sj in enumerate(live):
-                if i == j:
-                    cov[i, j] = rem_var[i]
-                elif tree.is_ancestor_edge(si, sj):
-                    cov[i, j] = rem_var[j]
-                elif tree.is_ancestor_edge(sj, si):
-                    cov[i, j] = rem_var[i]
-        if len(live) == 0:
-            ll = 0.0
-        else:
-            try:
-                ll = float(multivariate_normal(mean=mean, cov=cov).logpdf(readings))
-            except np.linalg.LinAlgError as exc:
-                raise DetectionError(f"singular covariance for {sorted(h)}") from exc
-        if rho is not None:
-            ll += len(h) * log_rho
-        scored.append((h, ll))
-
-    if not scored:
-        raise DetectionError("no hypothesis consistent with the observed flows")
-    hyp, _ = _pick(scored)
-    return hyp

@@ -4,8 +4,9 @@ Each local detector reduces to picking among Gaussians N(mu_k, sigma2_k) from
 one scalar observation. Decision boundaries are roots of pairwise
 log-likelihood equalities (quadratics, linear when variances match), so
 acceptance regions are finite interval unions and error probabilities come
-out in closed form through the Gaussian CDF. No quadrature is involved;
-Monte Carlo classification exists only as a cross-check.
+out in closed form through the Gaussian CDF. No quadrature is involved; the
+Monte Carlo cross-check, ``monte_carlo_error``, is a test oracle in
+``tests/helpers.py``.
 
 Boundary collection and winner assignment are vectorized: hypothesis sets
 grow quadratically in edge count and the placement search evaluates many
@@ -32,12 +33,9 @@ __all__ = [
     "acceptance_regions",
     "missed_detection",
     "all_missed_detection",
-    "max_missed_detection",
-    "monte_carlo_error",
     "pattern_hypothesis_sets",
     "area_errors",
     "area_max_error",
-    "area_min_correct",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -107,14 +105,6 @@ class ScalarHypothesisSet:
             self.means,
             tuple(v + delta for v in self.variances),
             self.log_priors,
-        )
-
-    def log_density(self, k: int, s: float) -> float:
-        v = self.variances[k]
-        return (
-            self.log_priors[k]
-            - 0.5 * math.log(2.0 * math.pi * v)
-            - (s - self.means[k]) ** 2 / (2.0 * v)
         )
 
 
@@ -267,33 +257,6 @@ def all_missed_detection(hset: ScalarHypothesisSet) -> tuple[float, ...]:
     return tuple(max(0.0, 1.0 - c) for c in correct)
 
 
-def max_missed_detection(hset: ScalarHypothesisSet) -> float:
-    return max(all_missed_detection(hset))
-
-
-def monte_carlo_error(
-    hset: ScalarHypothesisSet,
-    k: int,
-    n_samples: int,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Empirical missed-detection frequency and its binomial standard error."""
-    rng = np.random.default_rng(seed)
-    mu = np.asarray(hset.means)
-    var = np.asarray(hset.variances)
-    w = np.asarray(hset.log_priors)
-    s = hset.means[k] + math.sqrt(hset.variances[k]) * rng.standard_normal(n_samples)
-    ll = (
-        w[:, None]
-        - 0.5 * np.log(2.0 * np.pi * var)[:, None]
-        - (s[None, :] - mu[:, None]) ** 2 / (2.0 * var[:, None])
-    )
-    wrong = np.argmax(ll, axis=0) != k
-    p = float(np.mean(wrong))
-    se = math.sqrt(max(p * (1.0 - p), 1.0 / n_samples) / n_samples)
-    return p, se
-
-
 def pattern_hypothesis_sets(
     area: Area,
     stats: CumulativeStats,
@@ -356,15 +319,3 @@ def area_max_error(
     single hypothesis contributes zero error.
     """
     return max(area_errors(area, stats, max_outages=max_outages, cap=cap, rho=rho), default=0.0)
-
-
-def area_min_correct(
-    area: Area,
-    stats: CumulativeStats,
-    *,
-    max_outages: int | None = 2,
-    cap: int = 1_000_000,
-    rho: float | None = None,
-) -> float:
-    """Minimum correct-detection probability; complement of :func:`area_max_error`."""
-    return 1.0 - area_max_error(area, stats, max_outages=max_outages, cap=cap, rho=rho)

@@ -127,6 +127,13 @@ def _check_loads(mean: Mapping[VertexId, float], var: Mapping[VertexId, float], 
             raise FeederFormatError(f"negative or non-finite load variance at {v!r}: {var[v]}")
 
 
+def _load_value(value: object, what: str, vid: VertexId) -> float:
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        raise FeederFormatError(f"{what} at {vid!r} is not a number: {value!r}") from None
+
+
 def build_tree(vertices: Iterable[Mapping[str, object]]) -> Tree:
     """Build a :class:`Tree` from vertex records.
 
@@ -143,8 +150,8 @@ def build_tree(vertices: Iterable[Mapping[str, object]]) -> Tree:
             raise FeederFormatError(f"duplicate vertex id {vid!r}")
         p = rec.get("parent")
         parent[vid] = None if p is None else str(p)
-        mean[vid] = float(rec.get("mean", 0.0))  # type: ignore[arg-type]
-        var[vid] = float(rec.get("var", 0.0))  # type: ignore[arg-type]
+        mean[vid] = _load_value(rec.get("mean", 0.0), "mean load", vid)
+        var[vid] = _load_value(rec.get("var", 0.0), "load variance", vid)
 
     roots = [v for v, p in parent.items() if p is None]
     if len(roots) != 1:
@@ -326,7 +333,7 @@ def load_feeder(source: str | Mapping[str, object]) -> tuple[Tree, tuple[EdgeId,
         if rec.get("kappa_derived"):
             from .sim import kappa_of_load  # deferred: sim builds on this module
 
-            mean = float(row["mean"])  # type: ignore[arg-type]
+            mean = _load_value(row["mean"], "mean load", str(rec["id"]))
             row["var"] = (kappa_of_load(mean) * mean) ** 2 if mean > 0 else 0.0
         else:
             row["var"] = rec.get("sigma2", 0.0)

@@ -9,14 +9,13 @@ feasible cut of minimal size as a parallel scenario and keeps the completion
 with the fewest sensors. Every edge is processed, so each final area was
 explicitly checked against the target with its final child sensors.
 
-The brute-force oracle evaluates every sensor subset of a given size under
-both the worst-area objective and the product-of-correct-probabilities bound;
-it exists to benchmark the bottom-up algorithm at desk scale.
+The brute-force oracle that checks the bottom-up algorithm at desk scale,
+``brute_force_placement_oracle``, is a test oracle in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Container, Iterable
 
@@ -33,8 +32,6 @@ __all__ = [
     "evaluate_areas",
     "solve_feasibility",
     "solve_budget",
-    "OracleResult",
-    "brute_force_placement_oracle",
 ]
 
 # slack added to the target in feasibility comparisons, absorbing CDF rounding
@@ -303,62 +300,3 @@ def solve_budget(
             hi = mid
             best = p
     return best
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Exhaustive-search optima for both placement objectives."""
-
-    minmax_placement: tuple[EdgeId, ...]
-    minmax_value: float
-    minmax_product: float
-    product_placement: tuple[EdgeId, ...]
-    product_value: float
-    evaluated: int = field(default=0)
-
-
-def brute_force_placement_oracle(
-    tree: Tree,
-    n_added: int,
-    *,
-    config: PlacementConfig = PlacementConfig(),
-) -> OracleResult:
-    """Evaluate every placement of ``n_added`` sensors (plus the root edge).
-
-    Scores each subset under (a) the worst area error and (b) the product of
-    per-area correct-detection minima, and returns the optimum of each.
-    """
-    root_edge = _root_edge(tree)
-    candidates = sorted(e for e in tree.edges if e != root_edge)
-    if n_added > len(candidates):
-        raise PlacementError(f"cannot add {n_added} sensors to {len(candidates)} edges")
-    table = _AreaTable(tree, config)
-
-    best_mm: tuple[float, tuple[EdgeId, ...]] | None = None
-    best_mm_prod = 0.0
-    best_pr: tuple[float, tuple[EdgeId, ...]] | None = None
-    count = 0
-    for combo in combinations(candidates, n_added):
-        count += 1
-        sensor_set = frozenset(combo) | {root_edge}
-        worst = 0.0
-        prod = 1.0
-        for s in sorted(sensor_set):
-            err = table.error(s, sensor_set)
-            worst = max(worst, err)
-            prod *= 1.0 - err
-        placement = tuple(sorted(sensor_set))
-        if best_mm is None or (worst, placement) < best_mm:
-            best_mm = (worst, placement)
-            best_mm_prod = prod
-        if best_pr is None or (-prod, placement) < best_pr:
-            best_pr = (-prod, placement)
-    assert best_mm is not None and best_pr is not None
-    return OracleResult(
-        minmax_placement=best_mm[1],
-        minmax_value=best_mm[0],
-        minmax_product=best_mm_prod,
-        product_placement=best_pr[1],
-        product_value=-best_pr[0],
-        evaluated=count,
-    )

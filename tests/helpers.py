@@ -1,13 +1,39 @@
-"""Tree builders and brute-force oracles shared across the test modules."""
+"""Tree builders and brute-force oracles shared across the test modules.
+
+The oracles validate the library against slower, independent routes: the
+P/Z/U sign-pattern labeller, the joint-likelihood detector, the scalar Monte
+Carlo error and the exhaustive placement search.
+"""
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping
+from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from outagekit.network import Branch, BranchGraph, Tree, build_tree
+from outagekit.detector import DetectionError, Observation, _forecast_tree, plan_for
+from outagekit.errors import ScalarHypothesisSet
+from outagekit.hypotheses import (
+    DEFAULT_CAP,
+    EnumerationCapError,
+    Hypothesis,
+    enumerate_unique,
+    hypothesis_sort_key,
+)
+from outagekit.network import (
+    Branch,
+    BranchGraph,
+    BranchId,
+    EdgeId,
+    Tree,
+    branch_decompose,
+    build_tree,
+    cumulative_stats,
+)
+from outagekit.placement import PlacementConfig, PlacementError, _AreaTable, _root_edge
 
 # root-e1-e2 then a junction: a two-edge chain on one side, a leaf on the other
 FIVE_EDGE_PARENTS = {
@@ -196,13 +222,13 @@ def per_trial_detection_rate(
 def area_max_error_oracle(area, stats, *, max_outages, cap, rho) -> float:
     """Worst missed detection by the per-pattern loop: single-hypothesis
     patterns are skipped, every other pattern contributes its worst entry."""
-    from outagekit.errors import max_missed_detection, pattern_hypothesis_sets
+    from outagekit.errors import all_missed_detection, pattern_hypothesis_sets
 
     worst = 0.0
     sets = pattern_hypothesis_sets(area, stats, max_outages=max_outages, cap=cap, rho=rho)
     for _, hset in sets:
         if len(hset) > 1:
-            worst = max(worst, max_missed_detection(hset))
+            worst = max(worst, max(all_missed_detection(hset)))
     return worst
 
 
@@ -245,3 +271,385 @@ def budget_oracle(tree: Tree, budget: int, *, mode: str, config):
             hi = mid
             best = p
     return best
+
+
+# P/Z/U sign-pattern labeller: derives one pattern's hypotheses by pruning the
+# enumeration with branch labels, independently of pattern_groups
+
+LABEL_POSITIVE = "P"
+LABEL_ZERO = "Z"
+LABEL_UNKNOWN = "U"
+
+
+def _merge(
+    combos: list[frozenset], sub: list[frozenset], max_outages: int | None
+) -> list[frozenset]:
+    """Every union of one member of ``combos`` with one of ``sub``, within the bound.
+
+    The two lists draw on disjoint edges, so a union's size is the sum of
+    the sizes.
+    """
+    if max_outages is None:
+        return [a | b if a else b for a in combos for b in sub]
+    return [
+        a | b if a else b
+        for a in combos
+        for b in sub
+        if len(a) + len(b) <= max_outages
+    ]
+
+
+def _expand(
+    graph: BranchGraph,
+    branch: Branch,
+    labels: Mapping[BranchId, str] | None,
+    allow_empty: Mapping[BranchId, bool] | None,
+    max_outages: int | None,
+    cap: int,
+    counter: list[int],
+) -> list[frozenset]:
+    """Hypotheses for the subtree rooted at ``branch``.
+
+    The empty set is included only when ``allow_empty`` permits it, which
+    encodes the zero-coverage requirement: a subtree containing a zero-flow
+    sensor must contribute at least one outage edge.
+    """
+    label = LABEL_UNKNOWN if labels is None else labels[branch.id]
+
+    combos: list[frozenset] = [frozenset()]
+    for cid in branch.children:
+        child = graph.branches[cid]
+        sub = _expand(graph, child, labels, allow_empty, max_outages, cap, counter)
+        if allow_empty is None or allow_empty[cid]:
+            sub = sub + [frozenset()]
+        combos = _merge(combos, sub, max_outages)
+        counter[0] += len(combos)
+        if counter[0] > cap:
+            raise EnumerationCapError(f"hypothesis enumeration exceeded cap of {cap}")
+    combos = [c for c in combos if c]
+
+    out: list[frozenset] = []
+    if label != LABEL_POSITIVE:
+        # one outage on this branch blacks out everything below it
+        out.extend(frozenset({e}) for e in branch.edges)
+    out.extend(combos)
+    counter[0] += len(out)
+    if counter[0] > cap:
+        raise EnumerationCapError(f"hypothesis enumeration exceeded cap of {cap}")
+    return out
+
+
+def _combine_roots(
+    graph: BranchGraph,
+    labels: Mapping[BranchId, str] | None,
+    allow_empty: Mapping[BranchId, bool] | None,
+    max_outages: int | None,
+    cap: int,
+) -> list[frozenset]:
+    counter = [0]
+    combos: list[frozenset] = [frozenset()]
+    for rid in graph.roots:
+        root = graph.branches[rid]
+        sub = _expand(graph, root, labels, allow_empty, max_outages, cap, counter)
+        if allow_empty is None or allow_empty[rid]:
+            sub = sub + [frozenset()]
+        combos = _merge(combos, sub, max_outages)
+        if counter[0] + len(combos) > cap:
+            raise EnumerationCapError(f"hypothesis enumeration exceeded cap of {cap}")
+    # duplicates cannot arise (edge sets of distinct branches are disjoint),
+    # so a plain sort gives the canonical order: hypothesis_sort_key, taken
+    # as size buckets each sorted by its sorted edge list
+    by_size: dict[int, list[frozenset]] = {}
+    for h in combos:
+        by_size.setdefault(len(h), []).append(h)
+    return [h for k in sorted(by_size) for h in sorted(by_size[k], key=sorted)]
+
+
+def label_branches(
+    graph: BranchGraph,
+    positive: Mapping[EdgeId, bool],
+) -> dict[BranchId, str]:
+    """P/Z/U labels from child-sensor flow signs.
+
+    ``positive`` maps each child sensor edge (the bottom edge of its branch)
+    to the sign of its reading. A branch directly above a positive sensor is
+    P, above a zero sensor Z; branches with no sensor below are U, except
+    that any positive sensor anywhere below forces P (flow passes through).
+    """
+    labels: dict[BranchId, str] = {}
+
+    def visit(bid: BranchId) -> str:
+        b = graph.branches[bid]
+        child_labels = [visit(c) for c in b.children]
+        last = b.edges[-1] if b.edges else None
+        if last is not None and last in positive:
+            lab = LABEL_POSITIVE if positive[last] else LABEL_ZERO
+        elif any(c == LABEL_POSITIVE for c in child_labels):
+            lab = LABEL_POSITIVE
+        else:
+            lab = LABEL_UNKNOWN
+        labels[bid] = lab
+        return lab
+
+    for rid in graph.roots:
+        visit(rid)
+    return labels
+
+
+def local_hypotheses(
+    graph: BranchGraph,
+    positive: Mapping[EdgeId, bool],
+    *,
+    max_outages: int | None = None,
+    cap: int = DEFAULT_CAP,
+) -> tuple[Hypothesis, ...]:
+    """Hypotheses of one area consistent with a child-sensor sign pattern.
+
+    Positive rule: no outage on or above a branch that feeds a positive
+    sensor. Zero rule: every zero sensor must sit below some outage edge.
+    Coverage is enforced through every level of the branch graph, which makes
+    the result equal brute-force sign filtering of the full hypothesis set.
+
+    Returns the empty tuple when no hypothesis matches (inconsistent pattern).
+    """
+    labels = label_branches(graph, positive)
+
+    has_zero: dict[BranchId, bool] = {}
+
+    def scan(bid: BranchId) -> bool:
+        b = graph.branches[bid]
+        child_flags = [scan(c) for c in b.children]
+        z = labels[bid] == LABEL_ZERO or any(child_flags)
+        has_zero[bid] = z
+        return z
+
+    for rid in graph.roots:
+        scan(rid)
+
+    allow_empty = {bid: not has_zero[bid] for bid in graph.branches}
+
+    result = _combine_roots(graph, labels, allow_empty, max_outages, cap)
+    if any(not p for p in positive.values()):
+        # some sensor is dark, so "no outage anywhere" is impossible
+        result = [h for h in result if h]
+    return tuple(result)
+
+
+def branch_products(
+    graph: BranchGraph,
+    hypotheses: Iterable[Hypothesis],
+) -> set[frozenset]:
+    """Collapse hypotheses to the branch combinations they draw edges from.
+
+    Two hypotheses map to the same product when they pick (any) one edge from
+    the same set of branches. Useful for compact comparison of enumeration
+    rules independently of branch sizes.
+    """
+    owner: dict[EdgeId, BranchId] = {}
+    for b in graph.branches.values():
+        for e in b.edges:
+            owner[e] = b.id
+    return {frozenset(owner[e] for e in h) for h in hypotheses}
+
+
+def conserve_check(
+    graph: BranchGraph,
+    sensor_edges: Iterable[EdgeId],
+    *,
+    max_outages: int | None = None,
+    cap: int = DEFAULT_CAP,
+) -> bool:
+    """True iff the sign-pattern subsets partition the full hypothesis set.
+
+    Iterates every binary sign pattern of ``sensor_edges``, collects
+    :func:`local_hypotheses` for each, and checks the union is disjoint and
+    equals :func:`enumerate_unique` of the same graph (plus ∅, which belongs
+    to the all-positive pattern).
+    """
+    sensors = sorted(set(sensor_edges))
+    if len(sensors) > 20:
+        raise ValueError("too many sensors for exhaustive pattern check")
+    full = set(enumerate_unique(graph, max_outages=max_outages, cap=cap))
+    seen: set[Hypothesis] = set()
+    for mask in range(2 ** len(sensors)):
+        pattern = {s: bool(mask >> i & 1) for i, s in enumerate(sensors)}
+        part = local_hypotheses(graph, pattern, max_outages=max_outages, cap=cap)
+        for h in part:
+            if h in seen:
+                return False
+            seen.add(h)
+    return seen == full
+
+
+# joint-likelihood detector over all positive sensors
+
+
+def _pick(
+    candidates: list[tuple[Hypothesis, float]],
+) -> tuple[Hypothesis, float]:
+    """Highest log-likelihood; ties broken by fewest edges, then edge ids."""
+    return min(candidates, key=lambda c: (-c[1], hypothesis_sort_key(c[0])))
+
+
+def detect_centralized_oracle(
+    tree: Tree,
+    sensors: Iterable[EdgeId],
+    obs: Observation,
+    *,
+    max_outages: int | None = 2,
+    rho: float | None = None,
+    cap: int = 1_000_000,
+) -> Hypothesis:
+    """Joint MAP over the full unique-hypothesis set; validation reference.
+
+    Scores every hypothesis consistent with the flow signs by the joint
+    Gaussian likelihood of all positive readings (covariances follow sensor
+    nesting). Same tie-breaking as :func:`detect`.
+    """
+    from scipy.stats import multivariate_normal
+
+    plan = plan_for(tree, sensors)
+    sensor_list = plan.sensors
+    stats = cumulative_stats(_forecast_tree(tree, obs))
+    positive = dict(zip(sensor_list, plan.signs(plan.readings(obs.flows), stats.total_mean).tolist()))
+
+    hypotheses = enumerate_unique(
+        branch_decompose(tree), max_outages=max_outages, cap=cap
+    )
+    live = [s for s in sensor_list if positive[s]]
+    readings = np.array([obs.flows[s] for s in live])
+    log_rho = math.log(rho) if rho is not None else 0.0
+
+    scored: list[tuple[Hypothesis, float]] = []
+    for h in hypotheses:
+        ok = True
+        for s in sensor_list:
+            covered = any(tree.is_ancestor_edge(e, s) for e in h)
+            if covered == positive[s]:
+                ok = False
+                break
+        if not ok:
+            continue
+        mean = np.empty(len(live))
+        rem_var = np.empty(len(live))
+        for i, s in enumerate(live):
+            mu = stats.mean_below[s]
+            var = stats.var_below[s]
+            for e in h:
+                if e != s and tree.is_ancestor_edge(s, e):
+                    mu -= stats.mean_below[e]
+                    var -= stats.var_below[e]
+            mean[i] = mu
+            rem_var[i] = var
+        cov = np.zeros((len(live), len(live)))
+        for i, si in enumerate(live):
+            for j, sj in enumerate(live):
+                if i == j:
+                    cov[i, j] = rem_var[i]
+                elif tree.is_ancestor_edge(si, sj):
+                    cov[i, j] = rem_var[j]
+                elif tree.is_ancestor_edge(sj, si):
+                    cov[i, j] = rem_var[i]
+        if len(live) == 0:
+            ll = 0.0
+        else:
+            try:
+                ll = float(multivariate_normal(mean=mean, cov=cov).logpdf(readings))
+            except np.linalg.LinAlgError as exc:
+                raise DetectionError(f"singular covariance for {sorted(h)}") from exc
+        if rho is not None:
+            ll += len(h) * log_rho
+        scored.append((h, ll))
+
+    if not scored:
+        raise DetectionError("no hypothesis consistent with the observed flows")
+    hyp, _ = _pick(scored)
+    return hyp
+
+
+# scalar Monte Carlo error of one hypothesis set
+
+
+def monte_carlo_error(
+    hset: ScalarHypothesisSet,
+    k: int,
+    n_samples: int,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """Empirical missed-detection frequency and its binomial standard error."""
+    rng = np.random.default_rng(seed)
+    mu = np.asarray(hset.means)
+    var = np.asarray(hset.variances)
+    w = np.asarray(hset.log_priors)
+    s = hset.means[k] + math.sqrt(hset.variances[k]) * rng.standard_normal(n_samples)
+    ll = (
+        w[:, None]
+        - 0.5 * np.log(2.0 * np.pi * var)[:, None]
+        - (s[None, :] - mu[:, None]) ** 2 / (2.0 * var[:, None])
+    )
+    wrong = np.argmax(ll, axis=0) != k
+    p = float(np.mean(wrong))
+    se = math.sqrt(max(p * (1.0 - p), 1.0 / n_samples) / n_samples)
+    return p, se
+
+
+# exhaustive placement search
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    """Exhaustive-search optima for both placement objectives."""
+
+    minmax_placement: tuple[EdgeId, ...]
+    minmax_value: float
+    minmax_product: float
+    product_placement: tuple[EdgeId, ...]
+    product_value: float
+    evaluated: int = field(default=0)
+
+
+def brute_force_placement_oracle(
+    tree: Tree,
+    n_added: int,
+    *,
+    config: PlacementConfig = PlacementConfig(),
+) -> OracleResult:
+    """Evaluate every placement of ``n_added`` sensors (plus the root edge).
+
+    Scores each subset under (a) the worst area error and (b) the product of
+    per-area correct-detection minima, and returns the optimum of each.
+    """
+    root_edge = _root_edge(tree)
+    candidates = sorted(e for e in tree.edges if e != root_edge)
+    if n_added > len(candidates):
+        raise PlacementError(f"cannot add {n_added} sensors to {len(candidates)} edges")
+    table = _AreaTable(tree, config)
+
+    best_mm: tuple[float, tuple[EdgeId, ...]] | None = None
+    best_mm_prod = 0.0
+    best_pr: tuple[float, tuple[EdgeId, ...]] | None = None
+    count = 0
+    for combo in combinations(candidates, n_added):
+        count += 1
+        sensor_set = frozenset(combo) | {root_edge}
+        worst = 0.0
+        prod = 1.0
+        for s in sorted(sensor_set):
+            err = table.error(s, sensor_set)
+            worst = max(worst, err)
+            prod *= 1.0 - err
+        placement = tuple(sorted(sensor_set))
+        if best_mm is None or (worst, placement) < best_mm:
+            best_mm = (worst, placement)
+            best_mm_prod = prod
+        if best_pr is None or (-prod, placement) < best_pr:
+            best_pr = (-prod, placement)
+    assert best_mm is not None and best_pr is not None
+    return OracleResult(
+        minmax_placement=best_mm[1],
+        minmax_value=best_mm[0],
+        minmax_product=best_mm_prod,
+        product_placement=best_pr[1],
+        product_value=-best_pr[0],
+        evaluated=count,
+    )

@@ -18,28 +18,27 @@ from helpers import (
     TRAP_PARENTS,
     TRAP_TARGET,
     TRAP_VARS,
+    branch_products,
+    brute_force_placement_oracle,
+    conserve_check,
+    detect_centralized_oracle,
     full_kary_graph,
+    label_branches,
+    local_hypotheses,
+    monte_carlo_error,
     tree_from,
 )
-from outagekit.detector import build_areas, detect, detect_centralized_oracle
+from outagekit.detector import build_areas, detect
 from outagekit.errors import (
     ScalarHypothesisSet,
     all_missed_detection,
     area_max_error,
     missed_detection,
-    monte_carlo_error,
 )
-from outagekit.hypotheses import (
-    branch_products,
-    conserve_check,
-    enumerate_unique,
-    label_branches,
-    local_hypotheses,
-)
+from outagekit.hypotheses import enumerate_unique
 from outagekit.network import branch_decompose, cumulative_stats
 from outagekit.placement import (
     PlacementError,
-    brute_force_placement_oracle,
     evaluate_areas,
     solve_feasibility,
 )

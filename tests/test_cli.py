@@ -296,3 +296,41 @@ def test_detect_rejects_malformed_observation(capsys, five_edge_feeder, tmp_path
     assert code == 1
     assert out == ""
     assert named in err and "Traceback" not in err
+
+
+FEEDER_WITH_NULL_MEAN = {
+    "vertices": [
+        {"id": "sub", "parent": None},
+        {"id": "e1", "parent": "sub", "mean": 1.0, "sigma2": 0.01},
+        {"id": "e2", "parent": "e1", "mean": None, "sigma2": 0.01},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, named",
+    [
+        ("detect", {"flows": [1, 2]}, "flows"),
+        ("detect", {"flows": {"e1": None}}, "e1"),
+        ("detect", {"flows": {"e1": 4.0}, "forecasts": [1]}, "forecasts"),
+        ("evaluate", FEEDER_WITH_NULL_MEAN, "e2"),
+        ("sweep", {"kappas": 5}, "kappas"),
+        ("sweep", {"n_vertices": "abc"}, "n_vertices"),
+        ("sweep", {"n_vertices": 10, "out_dir": 5}, "out_dir"),
+    ],
+)
+def test_malformed_json_values_exit_1(
+    capsys, monkeypatch, five_edge_feeder, tmp_path, command, doc, named
+):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "detect": ["detect", "--feeder", five_edge_feeder, "--obs", str(path)],
+        "evaluate": ["evaluate", "--feeder", str(path)],
+        "sweep": ["sweep", "--config", str(path)],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert named in err and "Traceback" not in err

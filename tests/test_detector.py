@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from helpers import DEEP_PARENTS, FIVE_EDGE_PARENTS, TRAP_PARENTS, TRAP_VARS, tree_from
+from helpers import (
+    DEEP_PARENTS,
+    FIVE_EDGE_PARENTS,
+    TRAP_PARENTS,
+    TRAP_VARS,
+    detect_centralized_oracle,
+    tree_from,
+)
 from outagekit.detector import (
     DetectionError,
     DetectorPlan,
@@ -14,7 +21,6 @@ from outagekit.detector import (
     ObservationFormatError,
     build_areas,
     detect,
-    detect_centralized_oracle,
     effective_measurement,
     hypothesis_stats,
     observation_from_json,

@@ -7,7 +7,14 @@ import random
 import numpy as np
 import pytest
 
-from helpers import TRAP_PARENTS, TRAP_VARS, area_max_error_oracle, tree_from
+from helpers import (
+    TRAP_PARENTS,
+    TRAP_VARS,
+    area_max_error_oracle,
+    local_hypotheses,
+    monte_carlo_error,
+    tree_from,
+)
 from outagekit.detector import build_areas
 from outagekit.errors import (
     IndistinguishableHypothesesError,
@@ -16,13 +23,9 @@ from outagekit.errors import (
     all_missed_detection,
     area_errors,
     area_max_error,
-    area_min_correct,
-    max_missed_detection,
     missed_detection,
-    monte_carlo_error,
     pattern_hypothesis_sets,
 )
-from outagekit.hypotheses import local_hypotheses
 from outagekit.network import cumulative_stats
 from outagekit.sim import ForecastModel, random_tree
 
@@ -118,7 +121,6 @@ def test_bulk_errors_match_single_and_quadrature():
         for k in range(k_count):
             assert bulk[k] == pytest.approx(missed_detection(hset, k), abs=1e-12)
             assert bulk[k] == pytest.approx(numeric_missed_detection(hset, k), abs=1e-4)
-        assert max_missed_detection(hset) == pytest.approx(max(bulk))
 
 
 def test_monte_carlo_agrees_with_closed_form():
@@ -261,9 +263,6 @@ def test_trap_area_values(trap_tree):
         ]
     err = area_max_error(areas["e2"], stats, max_outages=2, cap=10**6, rho=None)
     assert err == pytest.approx(0.096125, abs=1e-5)
-    assert area_min_correct(
-        areas["e2"], stats, max_outages=2, cap=10**6, rho=None
-    ) == pytest.approx(1.0 - err, abs=1e-12)
 
 
 def test_fully_separated_area_has_zero_error(trap_tree):

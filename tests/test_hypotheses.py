@@ -5,16 +5,17 @@ import random
 
 import pytest
 
-from helpers import area_rooted, brute_antichains, full_kary_graph, induced_pattern
-from outagekit.detector import build_areas
-from outagekit.hypotheses import (
-    EnumerationCapError,
+from helpers import (
+    area_rooted,
+    brute_antichains,
     conserve_check,
-    enumerate_unique,
-    hypothesis_sort_key,
+    full_kary_graph,
+    induced_pattern,
     label_branches,
     local_hypotheses,
 )
+from outagekit.detector import build_areas
+from outagekit.hypotheses import EnumerationCapError, enumerate_unique, hypothesis_sort_key
 from outagekit.network import branch_decompose
 from outagekit.sim import random_tree
 
@@ -108,19 +109,6 @@ def test_fan_pattern_sizes_and_empty_membership(fan_tree):
         (True, False): 7,
         (True, True): 3,
     }
-
-
-def test_shallow_zero_rule_is_a_superset(fan_tree):
-    area = area_rooted(fan_tree, ("r", "y2", "q2"), "r")
-    pattern = {"y2": False, "q2": False}
-    deep = set(local_hypotheses(area.graph, pattern))
-    shallow = set(local_hypotheses(area.graph, pattern, shallow_zero_rule=True))
-    assert deep < shallow
-    assert len(shallow) == 18
-    # the extras leave a zero sensor undarkened deeper down
-    for h in shallow - deep:
-        covers_q2 = any(e in ("z1", "q1", "q2") for e in h)
-        assert not covers_q2
 
 
 def test_local_hypotheses_equal_brute_sign_filtering():

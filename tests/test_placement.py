@@ -6,11 +6,10 @@ import random
 
 import pytest
 
-from helpers import TRAP_TARGET, budget_oracle, tree_from
+from helpers import TRAP_TARGET, brute_force_placement_oracle, budget_oracle, tree_from
 from outagekit.placement import (
     PlacementConfig,
     PlacementError,
-    brute_force_placement_oracle,
     evaluate_areas,
     generate_edge_order,
     solve_budget,
