@@ -19,6 +19,7 @@ from .detector import DetectionError, detect, observation_from_json
 from .hypotheses import EnumerationCapError, enumerate_unique
 from .network import FeederFormatError, branch_decompose, load_feeder
 from .placement import (
+    MODES,
     PlacementConfig,
     PlacementError,
     evaluate_areas,
@@ -220,7 +221,7 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--target", type=float, default=None, help="error target in (0, 1)")
     group.add_argument("--budget", type=int, default=None, help="added-sensor budget")
-    p.add_argument("--mode", choices=("greedy", "optimal"), default="greedy")
+    p.add_argument("--mode", choices=MODES, default="greedy")
     p.set_defaults(func=_cmd_place)
 
     p = sub.add_parser("simulate", help="empirical detection error by Monte Carlo")

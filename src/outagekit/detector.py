@@ -31,6 +31,8 @@ from .network import (
     EdgeId,
     Tree,
     VertexId,
+    _root_edge,
+    _sensor_tuple,
     branch_decompose,
     cumulative_stats,
 )
@@ -70,7 +72,7 @@ class InconsistentObservationError(DetectionError):
 
 
 class ObservationFormatError(ValueError):
-    """An observation holds a reading no sensor can produce (NaN or infinite flow)."""
+    """An observation is malformed or holds a reading no sensor can produce (NaN, infinity)."""
 
 
 @dataclass(frozen=True)
@@ -87,17 +89,6 @@ class Area:
     vertices: frozenset
     edges: tuple[EdgeId, ...]
     graph: BranchGraph
-
-
-def _normalize_sensors(tree: Tree, sensors: Iterable[EdgeId]) -> tuple[EdgeId, ...]:
-    root_edges = tree.children[tree.root]
-    if len(root_edges) != 1:
-        raise DetectionError("feeder root must have exactly one outgoing edge")
-    out = set(sensors) | {root_edges[0]}
-    for e in out:
-        if e not in tree.parent or e == tree.root:
-            raise DetectionError(f"sensor on unknown edge {e!r}")
-    return tuple(sorted(out))
 
 
 def build_area(tree: Tree, root_sensor: EdgeId, sensor_set: Container[EdgeId]) -> Area:
@@ -128,7 +119,7 @@ def build_area(tree: Tree, root_sensor: EdgeId, sensor_set: Container[EdgeId]) -
 
 def build_areas(tree: Tree, sensors: Iterable[EdgeId]) -> tuple[Area, ...]:
     """One area per sensor. The root edge is metered implicitly."""
-    normalized = _normalize_sensors(tree, sensors)
+    normalized = _sensor_tuple(tree, sensors)
     sensor_set = set(normalized)
     return tuple(build_area(tree, s, sensor_set) for s in normalized)
 
@@ -157,7 +148,7 @@ def _numbers(data: Mapping[str, object], key: str) -> dict[str, float]:
 
 def observation_from_json(data: Mapping[str, object]) -> Observation:
     if not isinstance(data, Mapping) or "flows" not in data:
-        raise DetectionError("observation must be an object with a 'flows' mapping")
+        raise ObservationFormatError("observation must be an object with a 'flows' mapping")
     flows = _numbers(data, "flows")
     for k, v in flows.items():
         if not math.isfinite(v):
@@ -254,20 +245,20 @@ class DetectorPlan:
 
     def __init__(self, tree: Tree, sensors: Iterable[EdgeId]):
         self.tree = tree
-        self.sensors = _normalize_sensors(tree, sensors)
+        self.sensors = _sensor_tuple(tree, sensors)
         self.areas = build_areas(tree, self.sensors)
-        self.root_edge = tree.children[tree.root][0]
+        self.root_edge = _root_edge(tree)
         index = {s: i for i, s in enumerate(self.sensors)}
         self._root_index = index[self.root_edge]
-        # nearest sensed edge strictly above each vertex; the root edge maps to itself
-        above: dict[VertexId, EdgeId] = {tree.root: self.root_edge}
-        for v in tree.order[1:]:
-            p = tree.parent[v]
-            above[v] = p if p in index else above[p]  # type: ignore[index]
-        self._sensed_parent = np.array([index[above[s]] for s in self.sensors], dtype=np.intp)
         self._area_index = tuple(
             (index[a.root_sensor], tuple(index[c] for c in a.child_sensors))
             for a in self.areas
+        )
+        # nearest sensed ancestor: each child sensor's is its area's root
+        # sensor, and the root edge, a child of no area, maps to itself
+        above = {k: r for r, kids in self._area_index for k in kids}
+        self._sensed_parent = np.array(
+            [above.get(j, j) for j in range(len(self.sensors))], dtype=np.intp
         )
         self._groups: dict[tuple[int | None, int], list] = {}
 
@@ -441,7 +432,7 @@ def plan_for(tree: Tree, sensors: Iterable[EdgeId]) -> DetectorPlan:
     from :meth:`Tree.with_loads` of one feeder share a plan, while any other
     topology (even one with the same vertex ids) gets its own.
     """
-    normalized = _normalize_sensors(tree, sensors)
+    normalized = _sensor_tuple(tree, sensors)
     key = (id(tree.parent), normalized)
     plan = _PLANS.get(key)
     if plan is None or plan.tree.parent is not tree.parent or plan.tree.children is not tree.children:

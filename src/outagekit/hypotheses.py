@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .network import Branch, BranchGraph, BranchId, EdgeId
+from .network import BranchGraph, BranchId, EdgeId
 
 __all__ = [
     "Hypothesis",
@@ -44,46 +44,40 @@ def hypothesis_sort_key(h: Hypothesis) -> tuple[int, tuple[EdgeId, ...]]:
     return (len(h), tuple(sorted(h)))
 
 
+def _check_cap(count: int, cap: int) -> None:
+    if count > cap:
+        raise EnumerationCapError(f"hypothesis enumeration exceeded cap of {cap}")
+
+
 def _merge(
-    combos: list[frozenset], sub: list[frozenset], max_outages: int | None
+    combos: list[frozenset], sub: list[frozenset], max_outages: int | None, counted: int, cap: int
 ) -> list[frozenset]:
     """Every union of one member of ``combos`` with one of ``sub``, within the bound.
 
     The two lists draw on disjoint edges, so a union's size is the sum of
-    the sizes.
+    the sizes. Raises :class:`EnumerationCapError` when ``counted`` plus the
+    number of unions exceeds ``cap``.
     """
     if max_outages is None:
+        # every pair is kept, so a runaway merge is refused before it is built
+        _check_cap(counted + len(combos) * len(sub), cap)
         return [a | b if a else b for a in combos for b in sub]
-    return [
+    out = [
         a | b if a else b
         for a in combos
         for b in sub
         if len(a) + len(b) <= max_outages
     ]
-
-
-def _expand(
-    graph: BranchGraph,
-    branch: Branch,
-    max_outages: int | None,
-    cap: int,
-    counter: list[int],
-) -> list[frozenset]:
-    """Non-empty hypotheses for the subtree rooted at ``branch``."""
-    combos: list[frozenset] = [frozenset()]
-    for cid in branch.children:
-        sub = _expand(graph, graph.branches[cid], max_outages, cap, counter)
-        combos = _merge(combos, sub + [frozenset()], max_outages)
-        counter[0] += len(combos)
-        if counter[0] > cap:
-            raise EnumerationCapError(f"hypothesis enumeration exceeded cap of {cap}")
-    # one outage on this branch blacks out everything below it
-    out: list[frozenset] = [frozenset({e}) for e in branch.edges]
-    out += [c for c in combos if c]
-    counter[0] += len(out)
-    if counter[0] > cap:
-        raise EnumerationCapError(f"hypothesis enumeration exceeded cap of {cap}")
+    _check_cap(counted + len(out), cap)
     return out
+
+
+def _bottom_up(graph: BranchGraph) -> list[BranchId]:
+    """Every branch id of ``graph``, each after all the branches below it."""
+    order = list(graph.roots)
+    for bid in order:
+        order.extend(graph.branches[bid].children)
+    return order[::-1]
 
 
 def enumerate_unique(
@@ -96,16 +90,28 @@ def enumerate_unique(
 
     ``max_outages`` bounds hypothesis cardinality and must be non-negative
     (``ValueError`` otherwise); ``cap`` aborts runaway enumerations with
-    :class:`EnumerationCapError`.
+    :class:`EnumerationCapError`. It counts every hypothesis built for a
+    subtree along the way, not only the ones returned.
     """
     _check_max_outages(max_outages)
-    counter = [0]
-    combos: list[frozenset] = [frozenset()]
+    counted = 0
+    # the non-empty hypotheses of the subtree under each branch
+    below: dict[BranchId, list[frozenset]] = {}
+    for bid in _bottom_up(graph):
+        branch = graph.branches[bid]
+        combos: list[frozenset] = [frozenset()]
+        for cid in branch.children:
+            combos = _merge(combos, below.pop(cid) + [frozenset()], max_outages, counted, cap)
+            counted += len(combos)
+        # one outage on this branch blacks out everything below it
+        out: list[frozenset] = [frozenset({e}) for e in branch.edges]
+        out += [c for c in combos if c]
+        counted += len(out)
+        _check_cap(counted, cap)
+        below[bid] = out
+    combos = [frozenset()]
     for rid in graph.roots:
-        sub = _expand(graph, graph.branches[rid], max_outages, cap, counter)
-        combos = _merge(combos, sub + [frozenset()], max_outages)
-        if counter[0] + len(combos) > cap:
-            raise EnumerationCapError(f"hypothesis enumeration exceeded cap of {cap}")
+        combos = _merge(combos, below.pop(rid) + [frozenset()], max_outages, counted, cap)
     # duplicates cannot arise (edge sets of distinct branches are disjoint),
     # so a plain sort gives the canonical order: hypothesis_sort_key, taken
     # as size buckets each sorted by its sorted edge list
@@ -142,12 +148,9 @@ def pattern_groups(
     # below it; bit i of darkens[e] marks sensor i as cut off by edge e
     bits = [1 << i for i in range(len(sensors))]
     sensor_bit = dict(zip(sensors, bits))
-    order = list(graph.roots)
-    for bid in order:
-        order.extend(graph.branches[bid].children)
     below: dict[BranchId, int] = {}
     darkens: dict[EdgeId, int] = {}
-    for bid in reversed(order):
+    for bid in _bottom_up(graph):
         b = graph.branches[bid]
         mask = sensor_bit.get(b.edges[-1], 0) if b.edges else 0
         for c in b.children:

@@ -11,6 +11,10 @@ Design choices
 * Branch decomposition keeps a metered edge in the path section *above* the
   meter: the section ends with the edge that carries the sensor, and
   anything further downstream starts a new section.
+* The feeder head is the root's single outgoing edge, and it is always
+  metered: a root with any other number of edges, or a sensor on an edge
+  not in the tree, is a :class:`FeederFormatError` wherever a sensor set
+  enters the package.
 """
 
 from __future__ import annotations
@@ -302,6 +306,23 @@ def cumulative_stats(tree: Tree) -> CumulativeStats:
     return CumulativeStats(mean_below=mean_below, var_below=var_below, total_mean=total)
 
 
+def _root_edge(tree: Tree) -> EdgeId:
+    """The feeder head: the root's one outgoing edge."""
+    root_edges = tree.children[tree.root]
+    if len(root_edges) != 1:
+        raise FeederFormatError("feeder root must have exactly one outgoing edge")
+    return root_edges[0]
+
+
+def _sensor_tuple(tree: Tree, sensors: Iterable[EdgeId]) -> tuple[EdgeId, ...]:
+    """``sensors`` plus the feeder head, sorted; every id must name an edge."""
+    out = set(sensors) | {_root_edge(tree)}
+    for e in out:
+        if e not in tree.parent or e == tree.root:
+            raise FeederFormatError(f"sensor on unknown edge {e!r}")
+    return tuple(sorted(out))
+
+
 def load_feeder(source: str | Mapping[str, object]) -> tuple[Tree, tuple[EdgeId, ...]]:
     """Read a feeder description (path to JSON, or an already-parsed mapping).
 
@@ -342,15 +363,7 @@ def load_feeder(source: str | Mapping[str, object]) -> tuple[Tree, tuple[EdgeId,
     raw = data.get("sensors", [])
     if not isinstance(raw, list):
         raise FeederFormatError("'sensors' must be a list of edge ids")
-    sensors = {str(e) for e in raw}
-    for e in sensors:
-        if e not in tree.parent or e == tree.root:
-            raise FeederFormatError(f"sensor on unknown edge {e!r}")
-    root_edges = tree.children[tree.root]
-    if len(root_edges) != 1:
-        raise FeederFormatError("feeder root must have exactly one outgoing edge")
-    sensors.add(root_edges[0])
-    return tree, tuple(sorted(sensors))
+    return tree, _sensor_tuple(tree, (str(e) for e in raw))
 
 
 def dump_feeder(tree: Tree, sensors: Iterable[EdgeId]) -> dict:

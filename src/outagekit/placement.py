@@ -22,7 +22,7 @@ from typing import Container, Iterable
 from .detector import build_area, build_areas
 from .errors import area_errors, area_max_error
 from .hypotheses import _check_max_outages
-from .network import EdgeId, Tree, branch_decompose, cumulative_stats
+from .network import EdgeId, Tree, _root_edge, branch_decompose, cumulative_stats
 
 __all__ = [
     "PlacementError",
@@ -37,6 +37,12 @@ __all__ = [
 # slack added to the target in feasibility comparisons, absorbing CDF rounding
 FEAS_SLACK = 1e-12
 
+# width of the target interval at which solve_budget stops bisecting
+BISECT_TOL = 1e-4
+
+# greedy commits to the cheapest feasible cut; optimal tries every minimal one
+MODES = ("greedy", "optimal")
+
 
 class PlacementError(RuntimeError):
     """Placement cannot be completed under the configured limits."""
@@ -47,7 +53,6 @@ class PlacementConfig:
     max_outages: int | None = 2
     rho: float | None = None
     cap: int = 1_000_000
-    bisect_tol: float = 1e-4
     scenario_cap: int = 100_000
 
     def __post_init__(self) -> None:
@@ -83,15 +88,12 @@ class Placement:
 def generate_edge_order(tree: Tree) -> tuple[EdgeId, ...]:
     """Deepest-first processing order.
 
-    Branches sorted by maximum edge depth, deepest first (ties on branch id);
+    Branches sorted by bottom-edge depth, deepest first (ties on branch id);
     within a branch, bottom edge first. Child branches are always deeper than
     their parent, so every edge is processed after all of its descendants.
     """
     graph = branch_decompose(tree)
-    ranked = sorted(
-        graph.branches.values(),
-        key=lambda b: (-max(tree.depth(e) for e in b.edges), b.id),
-    )
+    ranked = sorted(graph.branches.values(), key=lambda b: (-tree.depth(b.edges[-1]), b.id))
     order: list[EdgeId] = []
     for b in ranked:
         order.extend(reversed(b.edges))
@@ -171,13 +173,6 @@ def evaluate_areas(
     return tuple(out)
 
 
-def _root_edge(tree: Tree) -> EdgeId:
-    roots = tree.children[tree.root]
-    if len(roots) != 1:
-        raise PlacementError("feeder root must have exactly one outgoing edge")
-    return roots[0]
-
-
 def solve_feasibility(
     tree: Tree,
     target: float,
@@ -200,7 +195,7 @@ def _solve(
     must belong to ``tree`` and ``config``."""
     if not (0.0 < target):
         raise PlacementError(f"target must be positive, got {target}")
-    if mode not in ("greedy", "optimal"):
+    if mode not in MODES:
         raise PlacementError(f"unknown mode {mode!r}")
 
     order = generate_edge_order(tree)
@@ -291,7 +286,7 @@ def solve_budget(
     if best is None:
         raise PlacementError("even the trivial target is over budget")
     lo = 0.0
-    while hi - lo > config.bisect_tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         p = fits(mid)
         if p is None:

@@ -22,7 +22,7 @@ import numpy as np
 from .detector import Observation, plan_for
 from .hypotheses import _check_max_outages
 from .network import EdgeId, Tree, build_tree, cumulative_stats
-from .placement import Placement, PlacementConfig, _AreaTable, _solve
+from .placement import MODES, Placement, PlacementConfig, _AreaTable, _solve
 
 __all__ = [
     "KAPPA_LAW_A",
@@ -166,7 +166,6 @@ def simulate_outage(
     sensors: Iterable[EdgeId],
     h_true: Iterable[EdgeId],
     *,
-    model: ForecastModel | None = None,
     seed: int | None = 0,
     rng: np.random.Generator | None = None,
 ) -> Observation:
@@ -175,8 +174,6 @@ def simulate_outage(
     A sensor reads the sum of drawn loads below it that remain connected to
     the root under ``h_true``; sensors at or below an outage edge read zero.
     """
-    if model is not None:
-        tree = model.apply(tree)
     if rng is None:
         rng = np.random.default_rng(seed)
     sensor_list = list(sensors)
@@ -197,7 +194,6 @@ def empirical_detection_rate(
     h_true: Iterable[EdgeId],
     n_trials: int,
     *,
-    model: ForecastModel | None = None,
     seed: int = 0,
     max_outages: int | None = 2,
     rho: float | None = None,
@@ -212,8 +208,6 @@ def empirical_detection_rate(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    if model is not None:
-        tree = model.apply(tree)
     hyp = frozenset(h_true)
     plan = plan_for(tree, sensors)
     stats = cumulative_stats(tree)
@@ -248,6 +242,8 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         _check_max_outages(self.max_outages)
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)

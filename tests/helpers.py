@@ -29,11 +29,12 @@ from outagekit.network import (
     BranchId,
     EdgeId,
     Tree,
+    _root_edge,
     branch_decompose,
     build_tree,
     cumulative_stats,
 )
-from outagekit.placement import PlacementConfig, PlacementError, _AreaTable, _root_edge
+from outagekit.placement import BISECT_TOL, PlacementConfig, PlacementError, _AreaTable
 
 # root-e1-e2 then a junction: a two-edge chain on one side, a leaf on the other
 FIVE_EDGE_PARENTS = {
@@ -101,6 +102,29 @@ FAN_PARENTS = {
     "q1": "z1",
     "q2": "q1",
 }
+
+
+def caterpillar_parents(spine: int) -> dict[str, str]:
+    """Spine ``s1``..``s<spine>`` under ``root``; every spine vertex but the
+    first carries one leaf ``l<i>``. Its branches nest ``spine`` deep."""
+    parents = {"s1": "root"}
+    for i in range(2, spine + 1):
+        parents[f"s{i}"] = f"s{i - 1}"
+        parents[f"l{i}"] = f"s{i}"
+    return parents
+
+
+def sensed_parent_oracle(tree: Tree, sensors) -> list[int]:
+    """Per sensor, the index in ``sensors`` of the nearest sensed edge strictly
+    above it, found by walking up the tree; the feeder head maps to itself."""
+    index = {s: i for i, s in enumerate(sensors)}
+    out = []
+    for s in sensors:
+        v = tree.parent[s]
+        while v is not None and v not in index:
+            v = tree.parent[v]
+        out.append(index[s] if v is None else index[v])
+    return out
 
 
 def tree_from(
@@ -262,7 +286,7 @@ def budget_oracle(tree: Tree, budget: int, *, mode: str, config):
     if best is None:
         raise PlacementError("even the trivial target is over budget")
     lo = 0.0
-    while hi - lo > config.bisect_tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         p = fits(mid)
         if p is None:

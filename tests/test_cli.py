@@ -5,7 +5,14 @@ import json
 
 import pytest
 
-from helpers import FIVE_EDGE_PARENTS, TRAP_PARENTS, TRAP_TARGET, TRAP_VARS, tree_from
+from helpers import (
+    FIVE_EDGE_PARENTS,
+    TRAP_PARENTS,
+    TRAP_TARGET,
+    TRAP_VARS,
+    caterpillar_parents,
+    tree_from,
+)
 from outagekit.cli import main
 from outagekit.network import dump_feeder
 
@@ -272,6 +279,28 @@ def test_planning_rejects_negative_outage_bound(capsys, trap_feeder, argv):
     assert "max_outages" in err and "Traceback" not in err
 
 
+def test_sweep_rejects_unknown_mode(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"mode": "foo"}))
+    code, out, err = run(capsys, ["sweep", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert out == ""
+    assert "'foo'" in err and "Traceback" not in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["enumerate", "evaluate"])
+def test_deep_caterpillar_stops_at_the_cap(capsys, tmp_path, command):
+    # 1,200 nested branches: deeper than the interpreter's recursion limit
+    tree = tree_from(caterpillar_parents(1200), variances=0.01)
+    path = tmp_path / "caterpillar.json"
+    path.write_text(json.dumps(dump_feeder(tree, [])))
+    code, out, err = run(capsys, [command, "--feeder", str(path), "--max-outages", "1"])
+    assert code == 2
+    assert out == ""
+    assert "cap" in err and "Traceback" not in err
+
+
 def test_sweep_rejects_negative_outage_bound(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"n_vertices": 10, "max_outages": -1}))
@@ -317,6 +346,9 @@ FEEDER_WITH_NULL_MEAN = {
         ("sweep", {"kappas": 5}, "kappas"),
         ("sweep", {"n_vertices": "abc"}, "n_vertices"),
         ("sweep", {"n_vertices": 10, "out_dir": 5}, "out_dir"),
+        ("detect", [1], "flows"),
+        ("evaluate --placement", ["zz"], "zz"),
+        ("simulate --placement", ["zz"], "zz"),
     ],
 )
 def test_malformed_json_values_exit_1(
@@ -328,6 +360,8 @@ def test_malformed_json_values_exit_1(
     argv = {
         "detect": ["detect", "--feeder", five_edge_feeder, "--obs", str(path)],
         "evaluate": ["evaluate", "--feeder", str(path)],
+        "evaluate --placement": ["evaluate", "--feeder", five_edge_feeder, "--placement", str(path)],
+        "simulate --placement": ["simulate", "--feeder", five_edge_feeder, "--placement", str(path)],
         "sweep": ["sweep", "--config", str(path)],
     }[command]
     code, out, err = run(capsys, argv)

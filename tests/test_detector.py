@@ -11,6 +11,7 @@ from helpers import (
     TRAP_PARENTS,
     TRAP_VARS,
     detect_centralized_oracle,
+    sensed_parent_oracle,
     tree_from,
 )
 from outagekit.detector import (
@@ -167,7 +168,7 @@ def test_observation_from_json():
     assert obs.flows == {"e1": 4.0}
     assert obs.forecasts == {"e2": 1.5}
     assert observation_from_json({"flows": {}}).forecasts is None
-    with pytest.raises(DetectionError):
+    with pytest.raises(ObservationFormatError):
         observation_from_json({"readings": {}})
 
 
@@ -287,6 +288,23 @@ def test_detect_rejects_unknown_forecast_ids(five_edge_tree):
     obs = Observation(flows={"e1": 5.0}, forecasts={"e2": 1.0, "zz": 1.0})
     with pytest.raises(FeederFormatError, match="zz"):
         detect(five_edge_tree, ["e1"], obs)
+
+
+def test_two_feeder_heads_are_a_format_error():
+    tree = tree_from({"a": "root", "b": "root"}, variances=0.01)
+    with pytest.raises(FeederFormatError, match="outgoing"):
+        DetectorPlan(tree, [])
+    with pytest.raises(FeederFormatError, match="outgoing"):
+        solve_feasibility(tree, 0.2)
+
+
+def test_sensed_parent_equals_vertex_walk():
+    rng = random.Random(29)
+    for _ in range(100):
+        tree = random_tree(rng.randint(2, 40), seed=rng.randrange(10**6))
+        sensors = rng.sample(tree.edges, k=rng.randint(0, len(tree.edges)))
+        plan = DetectorPlan(tree, sensors)
+        assert plan._sensed_parent.tolist() == sensed_parent_oracle(tree, plan.sensors)
 
 
 def test_negative_outage_bound_is_rejected(five_edge_tree):

@@ -13,6 +13,7 @@ from helpers import (
     induced_pattern,
     label_branches,
     local_hypotheses,
+    tree_from,
 )
 from outagekit.detector import build_areas
 from outagekit.hypotheses import EnumerationCapError, enumerate_unique, hypothesis_sort_key
@@ -67,6 +68,17 @@ def test_enumeration_cap_aborts():
     graph = full_kary_graph(3)
     with pytest.raises(EnumerationCapError):
         enumerate_unique(graph, cap=1000)
+
+
+def test_unbounded_merge_over_the_cap_is_refused_before_it_is_built():
+    # each hub alone has 2^17 hypotheses, within the default cap; their
+    # product, 2^34 sets, must be refused, not built and then counted
+    parents = {"head": "root", "h1": "head", "h2": "head"}
+    for hub in ("h1", "h2"):
+        parents.update({f"{hub}_{i}": hub for i in range(17)})
+    graph = branch_decompose(tree_from(parents))
+    with pytest.raises(EnumerationCapError, match="cap of 1000000"):
+        enumerate_unique(graph)
 
 
 def test_nonempty_counts_follow_junction_recursion():
