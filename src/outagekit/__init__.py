@@ -36,10 +36,8 @@ from .detector import (
     plan_for,
 )
 from .errors import (
-    AcceptanceRegion,
     IndistinguishableHypothesesError,
     ScalarHypothesisSet,
-    acceptance_regions,
     all_missed_detection,
     area_errors,
     area_max_error,

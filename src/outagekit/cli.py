@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -95,6 +96,36 @@ _SWEEP_FIELDS = {
     "max_children": ("an integer", _is_int),
     "mean_range": ("a list of two numbers", lambda v: _is_numbers(v, 2)),
 }
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number above zero."""
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer of at least zero."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
 
 
 def _parse_outage(text: str | None) -> frozenset:
@@ -200,7 +231,9 @@ def build_parser() -> _Parser:
         p.add_argument("--cap", type=int, default=1_000_000, help="hypothesis cap per area")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
         if rho:
-            p.add_argument("--rho", type=float, default=None, help="per-edge outage prior")
+            p.add_argument(
+                "--rho", type=_positive_float, default=None, help="per-edge outage prior"
+            )
 
     p = sub.add_parser("enumerate", help="list unique outage hypotheses")
     common(p, rho=False)
@@ -219,8 +252,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("place", help="compute a sensor placement")
     common(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--target", type=float, default=None, help="error target in (0, 1)")
-    group.add_argument("--budget", type=int, default=None, help="added-sensor budget")
+    group.add_argument(
+        "--target", type=_finite_float, default=None, help="error target in (0, 1)"
+    )
+    group.add_argument(
+        "--budget", type=_non_negative_int, default=None, help="added-sensor budget"
+    )
     p.add_argument("--mode", choices=MODES, default="greedy")
     p.set_defaults(func=_cmd_place)
 

@@ -8,19 +8,18 @@ out in closed form through the Gaussian CDF. No quadrature is involved; the
 Monte Carlo cross-check, ``monte_carlo_error``, is a test oracle in
 ``tests/helpers.py``.
 
-Boundary collection and winner assignment are vectorized: hypothesis sets
-grow quadratically in edge count and the placement search evaluates many
-thousands of them.
+The winner partition is found by one left-to-right sweep along the upper
+envelope of the log-densities: each piece scans the other entries once for
+the nearest root at which one overtakes the current winner. Two parabolas
+cross at most twice, so a set of H hypotheses has at most 2H - 1 pieces, and
+the sweep costs O(pieces * H) time and O(H) memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable
-
-import numpy as np
 
 from .detector import Area, hypothesis_stats
 from .hypotheses import Hypothesis, pattern_groups
@@ -29,8 +28,6 @@ from .network import CumulativeStats
 __all__ = [
     "IndistinguishableHypothesesError",
     "ScalarHypothesisSet",
-    "AcceptanceRegion",
-    "acceptance_regions",
     "missed_detection",
     "all_missed_detection",
     "pattern_hypothesis_sets",
@@ -44,6 +41,12 @@ _MERGE_TOL = 1e-12
 
 class IndistinguishableHypothesesError(ValueError):
     """Two hypotheses share (mu, sigma2, prior): the detector cannot separate them."""
+
+
+def _check_rho(rho: float | None) -> None:
+    """Reject a per-edge outage prior rho that is not a finite positive number."""
+    if rho is not None and not (math.isfinite(rho) and rho > 0.0):
+        raise ValueError(f"rho must be a finite positive number, got {rho!r}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,7 @@ class ScalarHypothesisSet:
         With ``rho`` set, each hypothesis gets the MAP log-prior offset
         ``|H| * ln(rho)``; otherwise priors are flat.
         """
+        _check_rho(rho)
         hyps: list[Hypothesis] = []
         mus: list[float] = []
         vs: list[float] = []
@@ -98,117 +102,109 @@ class ScalarHypothesisSet:
             ws.append(0.0 if rho is None else len(h) * math.log(rho))
         return cls(tuple(hyps), tuple(mus), tuple(vs), tuple(ws))
 
-    def with_variance_shift(self, delta: float) -> "ScalarHypothesisSet":
-        """Same test with ``delta`` added to every variance."""
-        return ScalarHypothesisSet(
-            self.hypotheses,
-            self.means,
-            tuple(v + delta for v in self.variances),
-            self.log_priors,
-        )
-
-
-@dataclass(frozen=True)
-class AcceptanceRegion:
-    """Interval union on which one hypothesis wins the likelihood comparison."""
-
-    hypothesis: Hypothesis
-    intervals: tuple[tuple[float, float], ...]
-
-
-# index pairs are kept for sets up to this size, about 6 MB in all; a larger
-# set's partition costs far more than building its pairs afresh
-PAIR_CACHE_MAX = 128
-
-
-@cache
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``np.triu_indices(n, k=1)``. Set sizes repeat, and for a small
-    set building the pairs costs as much as the rest of its partition."""
-    i, j = np.triu_indices(n, k=1)
-    i.flags.writeable = False
-    j.flags.writeable = False
-    return i, j
-
 
 def _winner_partition(hset: ScalarHypothesisSet) -> list[tuple[float, float, int]]:
-    """(lo, hi, winner index) pieces tiling the real line.
+    """(lo, hi, winner index) pieces tiling the real line, left to right.
 
-    Boundary candidates are all real roots of pairwise log-density
-    equalities; roots closer than 1e-12 (in scale units) collapse to one
-    cut, and adjacent intervals with equal argmax merge.
+    At -inf the widest parabola wins: largest variance, then lowest slope,
+    then highest constant, then lowest index. From each cut the winner holds
+    up to the nearest root beyond it at which another entry overtakes it.
+    Every entry overtaking within 1e-12 (in scale units) of that root is a
+    candidate, and the next winner is the candidate on top at the end of
+    that window, read from the candidates' own pairwise roots: of entries
+    meeting at one point the steepest there, then the widest; of entries
+    crossing a hair apart, the one that stays above. A piece no wider than
+    the window collapses into the cut before it, and neighbours with one
+    winner merge, as when pairwise roots closer than the window collapse to
+    one cut.
     """
-    n = len(hset)
-    if n == 1:
-        return [(-math.inf, math.inf, 0)]
-    mu = np.asarray(hset.means)
-    var = np.asarray(hset.variances)
-    w = np.asarray(hset.log_priors)
+    mu = hset.means
+    var = hset.variances
+    w = hset.log_priors
+    n = len(mu)
+    scale = max(1.0, max(abs(m) for m in mu), math.sqrt(max(var)))
+    tol = _MERGE_TOL * scale
+    # log-density of entry k: const_k + slope_k * x - half_prec_k * x^2
+    half_prec = [0.5 / v for v in var]
+    slope = [m / v for m, v in zip(mu, var)]
+    sq = [m * m / (2.0 * v) for m, v in zip(mu, var)]
+    log = math.log
+    sqrt = math.sqrt
+    nan = math.nan
 
-    i, j = _pair_indices(n) if n <= PAIR_CACHE_MAX else np.triu_indices(n, k=1)
-    a = 0.5 / var[j] - 0.5 / var[i]
-    b = mu[i] / var[i] - mu[j] / var[j]
-    c = (
-        (w[i] - w[j])
-        - 0.5 * np.log(var[i] / var[j])
-        - mu[i] ** 2 / (2.0 * var[i])
-        + mu[j] ** 2 / (2.0 * var[j])
-    )
-    roots: list[np.ndarray] = []
-    quad = a != 0.0
-    if np.any(quad):
-        disc = b[quad] ** 2 - 4.0 * a[quad] * c[quad]
-        ok = disc >= 0.0
-        if np.any(ok):
-            aq = a[quad][ok]
-            bq = b[quad][ok]
-            sq = np.sqrt(disc[ok])
-            roots.append((-bq - sq) / (2.0 * aq))
-            roots.append((-bq + sq) / (2.0 * aq))
-    lin = (~quad) & (b != 0.0)
-    if np.any(lin):
-        roots.append(-c[lin] / b[lin])
+    def crossings(i: int, k: int) -> tuple[float, float]:
+        """For i < k, where ll_i - ll_k = a x^2 + b x + c falls through zero
+        (k overtakes i) and where it rises through zero; nan where it never
+        does. A double root is a touch, not a crossing."""
+        a = half_prec[k] - half_prec[i]
+        b = slope[i] - slope[k]
+        c = (w[i] - w[k]) - 0.5 * log(var[i] / var[k]) - sq[i] + sq[k]
+        if a != 0.0:
+            disc = b * b - 4.0 * a * c
+            if not disc > 0.0:
+                return nan, nan
+            d = sqrt(disc)
+            return (-b - d) / (2.0 * a), (-b + d) / (2.0 * a)
+        if b < 0.0:
+            return -c / b, nan
+        if b > 0.0:
+            return nan, -c / b
+        return nan, nan
 
-    scale = max(1.0, float(np.max(np.abs(mu))), float(np.max(np.sqrt(var))))
-    if roots:
-        allr = np.sort(np.concatenate(roots))
-        keep = np.concatenate(([True], np.diff(allr) > _MERGE_TOL * scale))
-        cuts = allr[keep]
-    else:
-        cuts = np.empty(0)
+    def minus_inf_order(k: int) -> tuple[float, float, float, int]:
+        # equal variance and slope mean equal means, so the constants
+        # differ by prior minus sq alone
+        return (-var[k], slope[k], sq[k] - w[k], k)
 
-    span = 10.0 * float(np.max(np.sqrt(var))) + scale
-    if cuts.size == 0:
-        probes = np.array([float(np.mean(mu))])
-    else:
-        probes = np.concatenate(
-            ([cuts[0] - span], 0.5 * (cuts[:-1] + cuts[1:]), [cuts[-1] + span])
-        )
-    ll = (
-        w[:, None]
-        - 0.5 * np.log(2.0 * np.pi * var)[:, None]
-        - (probes[None, :] - mu[:, None]) ** 2 / (2.0 * var[:, None])
-    )
-    winners = np.argmax(ll, axis=0)
+    def on_top(j: int, k: int, x: float) -> int:
+        """Which of j and k has the higher log-density just past x."""
+        i, m = (j, k) if j < k else (k, j)
+        fall, rise = crossings(i, m)
+        # m is on top after a fall, i after a rise: the last crossing at or
+        # before x decides, else the first one after it, else the order at -inf
+        past = [(r, top) for r, top in ((fall, m), (rise, i)) if r <= x]
+        if past:
+            return max(past)[1]
+        ahead = [(r, top) for r, top in ((fall, i), (rise, m)) if r > x]
+        if ahead:
+            return min(ahead)[1]
+        return min(i, m, key=minus_inf_order)
 
-    bounds = np.concatenate(([-math.inf], cuts, [math.inf]))
+    cur = min(range(n), key=minus_inf_order)
     pieces: list[tuple[float, float, int]] = []
-    start = 0
-    for t in range(1, len(winners) + 1):
-        if t == len(winners) or winners[t] != winners[start]:
-            pieces.append((float(bounds[start]), float(bounds[t]), int(winners[start])))
-            start = t
+    lo = cut = -math.inf
+    while True:
+        hits = []
+        for j in range(n):
+            if j < cur:
+                r = crossings(j, cur)[1]
+            elif j > cur:
+                r = crossings(cur, j)[0]
+            else:
+                continue
+            if r > cut:
+                hits.append((r, j))
+        if not hits:
+            break
+        hits.sort()
+        near = hits[0][0]
+        end = near + tol
+        nxt = hits[0][1]
+        for r, j in hits[1:]:
+            if r > end:
+                break
+            nxt = on_top(nxt, j, end)
+        if near - cut > tol:
+            if pieces and pieces[-1][2] == cur:
+                lo = pieces.pop()[0]
+            pieces.append((lo, near, cur))
+            lo = near
+        cut = near
+        cur = nxt
+    if pieces and pieces[-1][2] == cur:
+        lo = pieces.pop()[0]
+    pieces.append((lo, math.inf, cur))
     return pieces
-
-
-def acceptance_regions(hset: ScalarHypothesisSet) -> tuple[AcceptanceRegion, ...]:
-    """Per-hypothesis winning intervals; together they tile the real line."""
-    by_hyp: dict[int, list[tuple[float, float]]] = {k: [] for k in range(len(hset))}
-    for lo, hi, win in _winner_partition(hset):
-        by_hyp[win].append((lo, hi))
-    return tuple(
-        AcceptanceRegion(hset.hypotheses[k], tuple(by_hyp[k])) for k in range(len(hset))
-    )
 
 
 def _upper_tail(x: float) -> float:

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Container, Iterable
 
 from .detector import build_area, build_areas
-from .errors import area_errors, area_max_error
+from .errors import _check_rho, area_errors, area_max_error
 from .hypotheses import _check_max_outages
 from .network import EdgeId, Tree, _root_edge, branch_decompose, cumulative_stats
 
@@ -57,6 +57,7 @@ class PlacementConfig:
 
     def __post_init__(self) -> None:
         _check_max_outages(self.max_outages)
+        _check_rho(self.rho)
 
 
 @dataclass(frozen=True)

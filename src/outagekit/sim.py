@@ -21,7 +21,7 @@ import numpy as np
 
 from .detector import Observation, plan_for
 from .hypotheses import _check_max_outages
-from .network import EdgeId, Tree, build_tree, cumulative_stats
+from .network import EdgeId, Tree, _sensor_tuple, build_tree, cumulative_stats
 from .placement import MODES, Placement, PlacementConfig, _AreaTable, _solve
 
 __all__ = [
@@ -127,14 +127,12 @@ def _sample_readings(
     Trial ``t`` takes row ``t`` of one standard-normal draw over the vertices
     with positive variance in topological order: the stream ``n`` successive
     one-trial calls would use. Subtree sums add a vertex's draw to its
-    children's sums taken in order, as a scalar walk would.
+    children's sums taken in order, as a scalar walk would. ``sensors`` come
+    checked, from :func:`~outagekit.network._sensor_tuple` or a plan.
     """
     for e in hyp:
         if e not in tree.parent or e == tree.root:
             raise ValueError(f"outage on unknown edge {e!r}")
-    for s in sensors:
-        if s not in tree.parent or s == tree.root:
-            raise ValueError(f"sensor on unknown edge {s!r}")
     connected: dict[str, bool] = {tree.root: True}
     for v in tree.edges:
         connected[v] = connected[tree.parent[v]] and v not in hyp  # type: ignore[index]
@@ -173,10 +171,12 @@ def simulate_outage(
 
     A sensor reads the sum of drawn loads below it that remain connected to
     the root under ``h_true``; sensors at or below an outage edge read zero.
+    The feeder head is metered whether or not ``sensors`` names it, as in
+    :func:`~outagekit.detector.detect`.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    sensor_list = list(sensors)
+    sensor_list = _sensor_tuple(tree, sensors)
     row = _sample_readings(tree, sensor_list, frozenset(h_true), 1, rng)[0]
     flows = dict(zip(sensor_list, row.tolist()))
     forecasts = {v: tree.mean[v] for v in tree.edges}

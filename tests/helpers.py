@@ -1,8 +1,9 @@
 """Tree builders and brute-force oracles shared across the test modules.
 
 The oracles validate the library against slower, independent routes: the
-P/Z/U sign-pattern labeller, the joint-likelihood detector, the scalar Monte
-Carlo error and the exhaustive placement search.
+P/Z/U sign-pattern labeller, the joint-likelihood detector, the all-pairs
+winner partition, the scalar Monte Carlo error and the exhaustive placement
+search.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from outagekit.detector import DetectionError, Observation, _forecast_tree, plan_for
-from outagekit.errors import ScalarHypothesisSet
+from outagekit import errors
+from outagekit.errors import _MERGE_TOL, _winner_partition
 from outagekit.hypotheses import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -591,11 +593,118 @@ def detect_centralized_oracle(
     return hyp
 
 
+# scalar hypothesis sets: test-only views of errors.ScalarHypothesisSet and
+# the all-pairs winner partition the sweep replaced
+
+
+class ScalarHypothesisSet(errors.ScalarHypothesisSet):
+    """The library's hypothesis set plus the common variance shift that
+    criterion 8 applies."""
+
+    def with_variance_shift(self, delta: float) -> "ScalarHypothesisSet":
+        """Same test with ``delta`` added to every variance."""
+        return ScalarHypothesisSet(
+            self.hypotheses,
+            self.means,
+            tuple(v + delta for v in self.variances),
+            self.log_priors,
+        )
+
+
+@dataclass(frozen=True)
+class AcceptanceRegion:
+    """Interval union on which one hypothesis wins the likelihood comparison."""
+
+    hypothesis: Hypothesis
+    intervals: tuple[tuple[float, float], ...]
+
+
+def acceptance_regions(hset: errors.ScalarHypothesisSet) -> tuple[AcceptanceRegion, ...]:
+    """Per-hypothesis winning intervals of the library's partition; together
+    they tile the real line."""
+    by_hyp: dict[int, list[tuple[float, float]]] = {k: [] for k in range(len(hset))}
+    for lo, hi, win in _winner_partition(hset):
+        by_hyp[win].append((lo, hi))
+    return tuple(
+        AcceptanceRegion(hset.hypotheses[k], tuple(by_hyp[k])) for k in range(len(hset))
+    )
+
+
+def winner_partition_oracle(hset: errors.ScalarHypothesisSet) -> list[tuple[float, float, int]]:
+    """(lo, hi, winner index) pieces tiling the real line.
+
+    Boundary candidates are all real roots of pairwise log-density
+    equalities; roots closer than 1e-12 (in scale units) collapse to one
+    cut, and adjacent intervals with equal argmax merge.
+    """
+    n = len(hset)
+    if n == 1:
+        return [(-math.inf, math.inf, 0)]
+    mu = np.asarray(hset.means)
+    var = np.asarray(hset.variances)
+    w = np.asarray(hset.log_priors)
+
+    i, j = np.triu_indices(n, k=1)
+    a = 0.5 / var[j] - 0.5 / var[i]
+    b = mu[i] / var[i] - mu[j] / var[j]
+    c = (
+        (w[i] - w[j])
+        - 0.5 * np.log(var[i] / var[j])
+        - mu[i] ** 2 / (2.0 * var[i])
+        + mu[j] ** 2 / (2.0 * var[j])
+    )
+    roots: list[np.ndarray] = []
+    quad = a != 0.0
+    if np.any(quad):
+        disc = b[quad] ** 2 - 4.0 * a[quad] * c[quad]
+        ok = disc >= 0.0
+        if np.any(ok):
+            aq = a[quad][ok]
+            bq = b[quad][ok]
+            sq = np.sqrt(disc[ok])
+            roots.append((-bq - sq) / (2.0 * aq))
+            roots.append((-bq + sq) / (2.0 * aq))
+    lin = (~quad) & (b != 0.0)
+    if np.any(lin):
+        roots.append(-c[lin] / b[lin])
+
+    scale = max(1.0, float(np.max(np.abs(mu))), float(np.max(np.sqrt(var))))
+    if roots:
+        allr = np.sort(np.concatenate(roots))
+        keep = np.concatenate(([True], np.diff(allr) > _MERGE_TOL * scale))
+        cuts = allr[keep]
+    else:
+        cuts = np.empty(0)
+
+    span = 10.0 * float(np.max(np.sqrt(var))) + scale
+    if cuts.size == 0:
+        probes = np.array([float(np.mean(mu))])
+    else:
+        probes = np.concatenate(
+            ([cuts[0] - span], 0.5 * (cuts[:-1] + cuts[1:]), [cuts[-1] + span])
+        )
+    ll = (
+        w[:, None]
+        - 0.5 * np.log(2.0 * np.pi * var)[:, None]
+        - (probes[None, :] - mu[:, None]) ** 2 / (2.0 * var[:, None])
+    )
+    winners = np.argmax(ll, axis=0)
+
+    bounds = np.concatenate(([-math.inf], cuts, [math.inf]))
+    pieces: list[tuple[float, float, int]] = []
+    start = 0
+    for t in range(1, len(winners) + 1):
+        if t == len(winners) or winners[t] != winners[start]:
+            pieces.append((float(bounds[start]), float(bounds[t]), int(winners[start])))
+            start = t
+    return pieces
+
+
 # scalar Monte Carlo error of one hypothesis set
 
 
 def monte_carlo_error(
-    hset: ScalarHypothesisSet,
+    hset: errors.ScalarHypothesisSet,
     k: int,
     n_samples: int,
     seed: int = 0,

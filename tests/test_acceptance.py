@@ -18,6 +18,7 @@ from helpers import (
     TRAP_PARENTS,
     TRAP_TARGET,
     TRAP_VARS,
+    ScalarHypothesisSet,
     branch_products,
     brute_force_placement_oracle,
     conserve_check,
@@ -30,7 +31,6 @@ from helpers import (
 )
 from outagekit.detector import build_areas, detect
 from outagekit.errors import (
-    ScalarHypothesisSet,
     all_missed_detection,
     area_max_error,
     missed_detection,

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,8 +16,10 @@ from helpers import (
     caterpillar_parents,
     tree_from,
 )
+import outagekit
 from outagekit.cli import main
 from outagekit.network import dump_feeder
+from outagekit.sim import ForecastModel, random_tree
 
 
 @pytest.fixture
@@ -368,3 +373,52 @@ def test_malformed_json_values_exit_1(
     assert code == 1
     assert out == ""
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["evaluate", "--rho", "nan"], "--rho"),
+        (["evaluate", "--rho", "0"], "--rho"),
+        (["simulate", "--rho", "-1"], "--rho"),
+        (["place", "--target", "0.2", "--rho", "inf"], "--rho"),
+        (["place", "--target", "nan"], "--target"),
+        (["place", "--budget", "-1"], "--budget"),
+    ],
+)
+def test_bad_numbers_exit_1_naming_the_option(capsys, trap_feeder, argv, option):
+    code, out, err = run(capsys, argv + ["--feeder", trap_feeder])
+    assert code == 1
+    assert out == ""
+    assert option in err and "Traceback" not in err
+
+
+# evaluate under a 1 GB address-space limit set in the child process only
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from outagekit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_evaluate_large_single_area_under_memory_limit(tmp_path):
+    # only the head metered: one area of 1,045 hypotheses at the default
+    # two outages, whose all-pairs partition needed an 8.5 GiB array
+    tree = ForecastModel("fixed_kappa", kappa=0.3).apply(random_tree(50, seed=0))
+    path = tmp_path / "head_only.json"
+    path.write_text(json.dumps(dump_feeder(tree, [])))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(outagekit.__file__)))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, "evaluate", "--feeder", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (area,) = json.loads(proc.stdout)["areas"]
+    assert 0.0 < area["error"] <= 1.0

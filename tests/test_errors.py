@@ -10,16 +10,20 @@ import pytest
 from helpers import (
     TRAP_PARENTS,
     TRAP_VARS,
+    ScalarHypothesisSet,
+    acceptance_regions,
     area_max_error_oracle,
     local_hypotheses,
     monte_carlo_error,
     tree_from,
+    winner_partition_oracle,
 )
 from outagekit.detector import build_areas
 from outagekit.errors import (
+    _MERGE_TOL,
     IndistinguishableHypothesesError,
-    ScalarHypothesisSet,
-    acceptance_regions,
+    _gauss_mass,
+    _winner_partition,
     all_missed_detection,
     area_errors,
     area_max_error,
@@ -27,6 +31,7 @@ from outagekit.errors import (
     pattern_hypothesis_sets,
 )
 from outagekit.network import cumulative_stats
+from outagekit.placement import PlacementConfig
 from outagekit.sim import ForecastModel, random_tree
 
 
@@ -279,3 +284,109 @@ def test_nested_area_error_grows(trap_tree):
     small = max(e for _, e in evaluate_areas(trap_tree, ("e1", "e2", "e3")))
     merged = max(e for _, e in evaluate_areas(trap_tree, ("e1", "e3")))
     assert merged >= small - 1e-12
+
+
+def random_partition_set(rng, kind):
+    """One seeded set of 2-60 entries of the given kind (0-4)."""
+    n = rng.randint(2, 60)
+    if kind == 4:
+        # near-ties: up to three entries whose log-densities meet at x0
+        x0 = rng.uniform(-2.0, 2.0)
+        meet = rng.randint(2, 3)
+        means, variances, priors = [], [], []
+        for k in range(n):
+            mu, var = rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0)
+            if k < meet:
+                at_x0 = -0.5 * math.log(2.0 * math.pi * var) - (x0 - mu) ** 2 / (2.0 * var)
+                prior = rng.choice([0.0, 1e-15, -1e-15]) - at_x0
+            else:
+                prior = rng.uniform(-3.0, 0.0)
+            means.append(mu)
+            variances.append(var)
+            priors.append(prior)
+        hyps = tuple(frozenset({f"h{k}"}) for k in range(n))
+        return ScalarHypothesisSet(hyps, tuple(means), tuple(variances), tuple(priors))
+    entries = []
+    for k in range(n):
+        if kind == 0:
+            mu, var = rng.uniform(0.0, 10.0), rng.uniform(0.01, 4.0)
+        elif kind == 1:  # equal variances
+            mu, var = rng.uniform(0.0, 10.0), 0.5
+        elif kind == 2:  # equal means
+            mu, var = float(rng.randint(0, 3)), rng.uniform(0.01, 4.0)
+        else:  # load-shaped: integer means, variance proportional to the mean
+            m = rng.randint(1, 80)
+            mu, var = float(m), 0.09 * m
+        edges = frozenset(f"e{x}" for x in range(rng.randint(0, 3))) | {f"h{k}"}
+        entries.append((edges, mu, var))
+    return ScalarHypothesisSet.from_entries(entries, rho=rng.choice([None, 0.01, 0.3, 0.9]))
+
+
+def test_sweep_partition_matches_all_pairs_oracle():
+    """1,000 seeded sets: random, equal variances, equal means, load-shaped
+    and near-ties, flat and rho priors. Same winners in the same order, cuts
+    within the merge tolerance, missed detections within 1e-13 beyond what
+    those cut differences move.
+
+    Where three entries meet, the oracle cuts at the first root of the
+    merged cluster, which may be the crossing of two entries below the
+    winner; the sweep cuts where the winner is overtaken. Each such shift
+    moves a hypothesis's mass by at most its width times the density peak.
+    """
+    rng = random.Random(1515)
+    checked = 0
+    while checked < 1000:
+        try:
+            hset = random_partition_set(rng, checked % 5)
+        except IndistinguishableHypothesesError:
+            continue
+        checked += 1
+        got = _winner_partition(hset)
+        want = winner_partition_oracle(hset)
+        assert [p[2] for p in got] == [p[2] for p in want]
+        scale = max(1.0, max(abs(m) for m in hset.means), math.sqrt(max(hset.variances)))
+        shift = 0.0
+        for (lo, _, _), (lo_want, _, _) in zip(got[1:], want[1:]):
+            assert abs(lo - lo_want) <= _MERGE_TOL * scale
+            shift += abs(lo - lo_want)
+        correct = [0.0] * len(hset)
+        for lo, hi, win in want:
+            correct[win] += _gauss_mass(lo, hi, hset.means[win], math.sqrt(hset.variances[win]))
+        for err, c, var in zip(all_missed_detection(hset), correct, hset.variances):
+            moved = shift / math.sqrt(2.0 * math.pi * var)
+            assert err == pytest.approx(max(0.0, 1.0 - c), abs=1e-13 + moved)
+
+
+def test_entries_crossing_a_hair_apart_go_to_the_one_on_top():
+    # b and c overtake a within the merge tolerance of x = 0.5, c the
+    # steeper; b stays on top until the b|c midpoint, x = 1
+    hset = make_set([(0.0, 1.0), (1.0, 1.0), (1.0 + 2.0**-40, 1.0)])
+    tail = 0.5 * math.erfc(0.5 / math.sqrt(2.0))
+    assert [win for _, _, win in _winner_partition(hset)] == [0, 1, 2]
+    errs = all_missed_detection(hset)
+    assert errs[0] == pytest.approx(tail, abs=1e-12)
+    assert errs[1] == pytest.approx(tail + 0.5, abs=1e-12)
+    assert errs[2] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_far_cut_keeps_the_near_winner():
+    # c is b shifted by 1e-9 with a lower prior, so it overtakes b only near
+    # x = 1e9, where log-densities are too large to tell the priors apart;
+    # b wins everything above the a|b midpoint up to there
+    hset = ScalarHypothesisSet(
+        (frozenset({"a"}), frozenset({"c"}), frozenset({"b"})),
+        (0.0, 1.0 + 1e-9, 1.0),
+        (1.0, 1.0, 1.0),
+        (0.0, -1.0, 0.0),
+    )
+    tail = 0.5 * math.erfc(0.5 / math.sqrt(2.0))
+    assert [win for _, _, win in _winner_partition(hset)] == [0, 2, 1]
+    assert all_missed_detection(hset) == pytest.approx((tail, 1.0, tail), abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0, -1.0])
+def test_rho_must_be_finite_and_positive(rho):
+    with pytest.raises(ValueError, match="rho"):
+        make_set([(0.0, 1.0), (2.0, 1.0)], rho=rho)
+    with pytest.raises(ValueError, match="rho"):
+        PlacementConfig(rho=rho)

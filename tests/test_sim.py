@@ -16,7 +16,7 @@ from helpers import (
     per_trial_detection_rate,
     tree_from,
 )
-from outagekit.detector import build_areas
+from outagekit.detector import build_areas, detect
 from outagekit.errors import all_missed_detection, pattern_hypothesis_sets
 from outagekit.network import build_tree, cumulative_stats
 from outagekit.placement import PlacementConfig, solve_feasibility
@@ -258,3 +258,11 @@ def test_dense_noise_grid_point_error_profile():
     near_zero = sum(1 for e in hist if e < 1e-3) / len(hist)
     assert near_zero >= 0.2
     assert max(hist) <= 0.2 + 1e-9
+
+
+def test_simulated_observation_meters_the_feeder_head():
+    tree = ForecastModel("fixed_kappa", kappa=0.1).apply(random_tree(10, seed=1))
+    obs = simulate_outage(tree, ["v3"], set())
+    assert set(obs.flows) == {"v1", "v3"}
+    # the observation feeds back to detect with the same sensor list
+    assert detect(tree, ["v3"], obs).hypothesis == frozenset()
