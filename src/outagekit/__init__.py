@@ -30,7 +30,6 @@ from .detector import (
     build_area,
     build_areas,
     detect,
-    effective_measurement,
     hypothesis_stats,
     observation_from_json,
     plan_for,

@@ -9,22 +9,34 @@ estimate is the union of the local picks.
 
 Everything but the Gaussian moments depends only on the feeder topology and
 the sensor set: the areas, their branch graphs and the hypotheses each
-child-sensor sign pattern allows. A :class:`DetectorPlan` holds that part,
-and :func:`detect` reuses one per topology and sensor set, while every call
-still computes the moments of its own forecasts. The joint multivariate test
-over all positive sensors that validates the decoupling,
-``detect_centralized_oracle``, is a test oracle in ``tests/helpers.py``.
+child-sensor sign pattern allows. A :class:`DetectorPlan` holds that part
+and compiles it into scoring rows: per (area, hypothesis), the integer
+positions in ``tree.order`` of the subtrees the hypothesis removes from the
+measurement. A call builds the subtree moments of its own forecasts in one
+bottom-up pass, and one kernel scores the rows of every live area with a few
+array operations. :meth:`DetectorPlan.matches` runs that kernel on batches
+of Monte Carlo trials, and :func:`detect` is its one-row case. Two test
+oracles in ``tests/helpers.py`` check it: ``scalar_detect_oracle`` scores
+one hypothesis at a time, and ``detect_centralized_oracle`` runs the joint
+multivariate test over all positive sensors that validates the decoupling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from itertools import islice
+from typing import Container, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .hypotheses import Hypothesis, _check_max_outages, pattern_groups
+from .hypotheses import (
+    EnumerationCapError,
+    Hypothesis,
+    _check_max_outages,
+    _check_rho,
+    pattern_groups,
+)
 from .network import (
     BranchGraph,
     CumulativeStats,
@@ -34,7 +46,6 @@ from .network import (
     _root_edge,
     _sensor_tuple,
     branch_decompose,
-    cumulative_stats,
 )
 
 __all__ = [
@@ -48,7 +59,6 @@ __all__ = [
     "plan_for",
     "Observation",
     "observation_from_json",
-    "effective_measurement",
     "hypothesis_stats",
     "AreaDecision",
     "Detection",
@@ -159,14 +169,6 @@ def observation_from_json(data: Mapping[str, object]) -> Observation:
     return Observation(flows=flows, forecasts=forecasts)
 
 
-def effective_measurement(area: Area, flows: Mapping[EdgeId, float]) -> float:
-    """Root reading minus the sum of child-sensor readings."""
-    try:
-        return flows[area.root_sensor] - sum(flows[c] for c in area.child_sensors)
-    except KeyError as exc:
-        raise DetectionError(f"missing flow reading for sensor {exc.args[0]!r}") from exc
-
-
 def hypothesis_stats(
     area: Area,
     hypothesis: Hypothesis,
@@ -176,13 +178,14 @@ def hypothesis_stats(
     """Moments of the effective measurement under one local hypothesis.
 
     Start from the cumulative sums below the root sensor, remove every
-    subtree cut by the hypothesis, and remove each positive child sensor's
+    subtree cut by the hypothesis (in edge-id order, so the sums do not
+    depend on set iteration order), and remove each positive child sensor's
     subtree (its reading is subtracted from the measurement). A zero child
     sensor sits below some hypothesis edge, so its subtree is already gone.
     """
     mu = stats.mean_below[area.root_sensor]
     var = stats.var_below[area.root_sensor]
-    for e in hypothesis:
+    for e in sorted(hypothesis):
         mu -= stats.mean_below[e]
         var -= stats.var_below[e]
     for c in area.child_sensors:
@@ -190,11 +193,15 @@ def hypothesis_stats(
             mu -= stats.mean_below[c]
             var -= stats.var_below[c]
     if var <= 0.0:
-        raise ValueError(
-            f"non-positive variance {var} for hypothesis {sorted(hypothesis)}: "
-            "remaining loads carry no forecast uncertainty"
-        )
+        raise _no_variance(var, hypothesis)
     return mu, var
+
+
+def _no_variance(var: float, hypothesis: Hypothesis) -> ValueError:
+    return ValueError(
+        f"non-positive variance {var} for hypothesis {sorted(hypothesis)}: "
+        "remaining loads carry no forecast uncertainty"
+    )
 
 
 @dataclass(frozen=True)
@@ -225,10 +232,69 @@ class Detection:
         }
 
 
-def _log_norm(var: float) -> float:
-    """Log-density constant of N(mu, var); ``math.log`` keeps scalar and batch
-    decisions bit for bit equal."""
-    return -0.5 * math.log(2.0 * math.pi * var)
+class _Moments(NamedTuple):
+    """Subtree sums of forecast means and variances, indexed by position in
+    ``tree.order``. Slot 0 (the root) reads 0, so it pads the scoring rows."""
+
+    mean: np.ndarray
+    var: np.ndarray
+    total_mean: float
+
+
+class _Rows(NamedTuple):
+    """Scoring rows, one per (area, hypothesis); each area's rows are
+    contiguous and in :func:`hypothesis_sort_key` order.
+
+    Row ``k`` scores ``hypotheses[k]`` in area ``area[k]``: its moments are
+    the subtree sums at position ``root[k]`` minus those at the positions in
+    column ``k`` of ``cut``, which lists the hypothesis edges by id and then
+    the positive child sensors, padded with slot 0.
+    """
+
+    area: np.ndarray
+    root: np.ndarray
+    cut: np.ndarray
+    size: np.ndarray
+    hypotheses: np.ndarray
+
+    @staticmethod
+    def build(rows: list[tuple[int, int, list[int], Hypothesis]]) -> _Rows:
+        """Rows from ``(area, root, cut, hypothesis)`` tuples."""
+        area, root, cuts, hyps = zip(*rows)
+        width = max(map(len, cuts))
+        cut = np.array([c + [0] * (width - len(c)) for c in cuts], dtype=np.intp)
+        return _Rows(
+            area=np.array(area, dtype=np.intp),
+            root=np.array(root, dtype=np.intp),
+            cut=np.ascontiguousarray(cut.T),
+            size=np.array([len(h) for h in hyps], dtype=float),
+            hypotheses=np.array(hyps, dtype=object),
+        )
+
+    def moments(self, values: np.ndarray) -> np.ndarray:
+        """Each row's subtree sum of ``values``, cut in column order as
+        :func:`hypothesis_stats` cuts it."""
+        out = values[self.root]
+        for col in self.cut:
+            out -= values[col]
+        return out
+
+
+class _Compiled:
+    """Scoring rows of one plan for one ``(max_outages, cap)``.
+
+    An area is enumerated the first time it is live. ``clean`` holds the rows
+    of every enumerated area whose child sensors all read positive, the
+    pattern of nearly every live area; ``blocks`` caches the rows of the
+    other patterns met so far.
+    """
+
+    def __init__(self, n_areas: int):
+        self.groups: list[dict | None] = [None] * n_areas
+        self.enumerated = np.zeros(n_areas, dtype=bool)
+        self.clean_rows: dict[int, list] = {}
+        self.clean: _Rows | None = None
+        self.blocks: dict[tuple[int, tuple[bool, ...]], _Rows | None] = {}
 
 
 class DetectorPlan:
@@ -241,6 +307,12 @@ class DetectorPlan:
     ``tree.children`` (the trees :meth:`Tree.with_loads` makes). The
     hypothesis groups are filled per area on first use, keyed by
     ``(max_outages, cap)``; ``cap`` bounds each area's whole enumeration.
+
+    Per ``(max_outages, cap)`` the groups compile into scoring rows that
+    name edges by their integer position in ``tree.order``. One kernel
+    scores the rows of every live area of a sign row with a few array
+    operations: :meth:`matches` runs it on batches of trials, and
+    :meth:`detect` is its one-row case.
     """
 
     def __init__(self, tree: Tree, sensors: Iterable[EdgeId]):
@@ -249,18 +321,43 @@ class DetectorPlan:
         self.areas = build_areas(tree, self.sensors)
         self.root_edge = _root_edge(tree)
         index = {s: i for i, s in enumerate(self.sensors)}
+        # area i is the area of sensor i
         self._root_index = index[self.root_edge]
-        self._area_index = tuple(
-            (index[a.root_sensor], tuple(index[c] for c in a.child_sensors))
-            for a in self.areas
-        )
+        self._kids = [[index[c] for c in a.child_sensors] for a in self.areas]
         # nearest sensed ancestor: each child sensor's is its area's root
         # sensor, and the root edge, a child of no area, maps to itself
-        above = {k: r for r, kids in self._area_index for k in kids}
-        self._sensed_parent = np.array(
-            [above.get(j, j) for j in range(len(self.sensors))], dtype=np.intp
-        )
-        self._groups: dict[tuple[int | None, int], list] = {}
+        sensed_parent = list(range(len(self.sensors)))
+        # (areas, sensors) with each area's k-th child sensor, for every k
+        columns: list[tuple[list[int], list[int]]] = []
+        for i, kids in enumerate(self._kids):
+            for k, j in enumerate(kids):
+                sensed_parent[j] = i
+                if k == len(columns):
+                    columns.append(([], []))
+                columns[k][0].append(i)
+                columns[k][1].append(j)
+        self._sensed_parent = np.array(sensed_parent, dtype=np.intp)
+        self._kid_columns = [
+            (np.array(areas, dtype=np.intp), np.array(kids, dtype=np.intp))
+            for areas, kids in columns
+        ]
+        # integer edge index: position in tree.order, the root at 0
+        self._position = {v: i for i, v in enumerate(tree.order)}
+        self._children = [
+            (i, tuple(self._position[c] for c in tree.children[v]))
+            for i, v in reversed(tuple(enumerate(tree.order)))
+            if i and tree.children[v]
+        ]
+        self._edge_area = {e: i for i, a in enumerate(self.areas) for e in a.edges}
+        self._var_below: tuple[Mapping[VertexId, float] | None, np.ndarray | None] = (None, None)
+        self._compiled: dict[tuple[int | None, int], _Compiled] = {}
+
+    def _state(self, max_outages: int | None, cap: int) -> _Compiled:
+        state = self._compiled.get((max_outages, cap))
+        if state is None:
+            _check_max_outages(max_outages)
+            state = self._compiled[(max_outages, cap)] = _Compiled(len(self.areas))
+        return state
 
     def hypotheses(
         self,
@@ -276,17 +373,192 @@ class DetectorPlan:
         ``child_sensors`` in order. The result is in
         :func:`hypothesis_sort_key` order, and empty when no hypothesis fits.
         """
-        per_area = self._groups.get((max_outages, cap))
-        if per_area is None:
-            _check_max_outages(max_outages)
-            per_area = self._groups[(max_outages, cap)] = [None] * len(self.areas)
-        groups = per_area[i]
+        state = self._state(max_outages, cap)
+        groups = state.groups[i]
         if groups is None:
             area = self.areas[i]
-            groups = per_area[i] = pattern_groups(
+            groups = state.groups[i] = pattern_groups(
                 area.graph, area.child_sensors, max_outages=max_outages, cap=cap
             )
         return groups.get(key, ())
+
+    def _rows(self, i: int, key: tuple[bool, ...], hyps: tuple[Hypothesis, ...]) -> list:
+        """Row tuples for :meth:`_Rows.build` of area ``i`` under child-sensor signs ``key``."""
+        position = self._position
+        area = self.areas[i]
+        root = position[area.root_sensor]
+        kept = [position[c] for c, live in zip(area.child_sensors, key) if live]
+        return [(i, root, [position[e] for e in sorted(h)] + kept, h) for h in hyps]
+
+    def _live_rows(
+        self, positive: np.ndarray, max_outages: int | None, cap: int
+    ) -> tuple[_Rows | None, np.ndarray | None, list[_Rows], tuple[int, Exception] | None]:
+        """The compiled rows that score sign row ``positive`` (root sensor live).
+
+        Returns the clean rows, which clean rows belong to a live area, the
+        blocks of the live areas with a dark child sensor and the first
+        failing area with its error: the enumeration cap, or no hypothesis
+        consistent with the signs. Areas are enumerated in order up to the
+        first failure, as a scan of the areas would.
+        """
+        state = self._state(max_outages, cap)
+        failed: tuple[int, Exception] | None = None
+        added = False
+        for i in np.flatnonzero(positive & ~state.enumerated).tolist():
+            key = (True,) * len(self._kids[i])
+            try:
+                hyps = self.hypotheses(i, key, max_outages=max_outages, cap=cap)
+            except EnumerationCapError as exc:
+                failed = (i, exc)
+                break
+            state.clean_rows[i] = self._rows(i, key, hyps)
+            state.enumerated[i] = added = True
+        if added:
+            state.clean = _Rows.build(
+                [r for i in sorted(state.clean_rows) for r in state.clean_rows[i]]
+            )
+
+        clean = positive.copy()
+        blocks: list[_Rows] = []
+        dark_kid = ~positive & positive[self._sensed_parent]
+        for i in sorted(set(self._sensed_parent[dark_kid].tolist())):
+            clean[i] = False
+            if failed is not None and i >= failed[0]:
+                break
+            key = tuple(positive[self._kids[i]].tolist())
+            if (i, key) not in state.blocks:
+                hyps = self.hypotheses(i, key, max_outages=max_outages, cap=cap)
+                state.blocks[(i, key)] = _Rows.build(self._rows(i, key, hyps)) if hyps else None
+            block = state.blocks[(i, key)]
+            if block is None:
+                error = DetectionError(
+                    f"no hypothesis consistent with flows in area of {self.sensors[i]!r}"
+                )
+                failed = (i, error)
+                break
+            blocks.append(block)
+        if failed is not None:
+            clean[failed[0] :] = False
+        if state.clean is None:
+            return None, None, blocks, failed
+        return state.clean, np.flatnonzero(clean[state.clean.area]), blocks, failed
+
+    def _score(
+        self,
+        moments: _Moments,
+        readings: np.ndarray,
+        positive: np.ndarray,
+        *,
+        max_outages: int | None,
+        rho: float | None,
+        cap: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Score every live area of trials sharing one sign row.
+
+        ``readings`` is trials x ``sensors``, and ``positive`` the sign row
+        the trials share, with the root sensor live. Returns each scored
+        row's area and hypothesis, the first row of each live area's
+        segment, and per trial each segment's first maximum (a row index)
+        and every row's log-likelihood. Raises what the first failing area
+        in area order raises: the enumeration cap, no consistent hypothesis,
+        or a hypothesis whose measurement has no variance left.
+        """
+        clean, keep, blocks, failed = self._live_rows(positive, max_outages, cap)
+        parts = [] if clean is None else [(
+            clean.area[keep],
+            clean.moments(moments.mean)[keep],
+            clean.moments(moments.var)[keep],
+            clean.size[keep],
+            clean.hypotheses[keep],
+        )]
+        parts += [
+            (b.area, b.moments(moments.mean), b.moments(moments.var), b.size, b.hypotheses)
+            for b in blocks
+        ]
+        if not parts:
+            raise failed[1]
+        area, mean, var, size, hyps = (np.concatenate(field) for field in zip(*parts))
+
+        bad = np.flatnonzero(var <= 0.0)
+        if bad.size:
+            k = bad[np.argmin(area[bad])]
+            if failed is None or area[k] < failed[0]:
+                raise _no_variance(float(var[k]), hyps[k])
+        if failed is not None:
+            raise failed[1]
+
+        # effective measurement: root reading minus the child readings
+        kid_sum = np.zeros(readings.shape)
+        for areas, kids in self._kid_columns:
+            kid_sum[:, areas] += readings[:, kids]
+        d = (readings - kid_sum)[:, area] - mean
+        ll = -0.5 * np.log(2.0 * math.pi * var) - d * d / (2.0 * var)
+        if rho is not None:
+            ll = ll + size * math.log(rho)
+
+        # first maximum of each area's segment: ties go to the earliest row
+        starts = np.flatnonzero(np.diff(area, prepend=-1))
+        top = np.maximum.reduceat(ll, starts, axis=1)
+        hit = ll == np.repeat(top, np.diff(starts, append=len(area)), axis=1)
+        first = np.minimum.reduceat(np.where(hit, np.arange(len(area)), len(area)), starts, axis=1)
+        return area, hyps, starts, first, ll
+
+    def _moments(self, tree: Tree, forecasts: Mapping[VertexId, float] | None = None) -> _Moments:
+        """Subtree moments of ``tree``'s loads, with ``forecasts`` replacing its means.
+
+        One bottom-up pass over integer child lists, adding children in the
+        order :func:`cumulative_stats` adds them, so the sums are the same
+        floats. Forecasts must name vertices of the feeder and be finite and
+        non-negative; any for the root is ignored. The variance sums depend
+        on the tree alone and are kept for the last ``tree.var`` seen.
+        """
+        order = tree.order
+        means = None
+        if forecasts is None:
+            means = list(map(tree.mean.__getitem__, order))
+        elif len(forecasts) == len(order) - 1:
+            # a forecast for every edge: no other id is possible
+            try:
+                means = [0.0, *map(forecasts.__getitem__, islice(order, 1, None))]
+            except KeyError:
+                pass
+        if means is None:
+            # some ids missing, the root's or unknown ones: the tree's own
+            # update checks the ids and the values
+            loads = tree.with_loads(mean={v: m for v, m in forecasts.items() if v != tree.root})
+            means = list(map(loads.mean.__getitem__, order))
+        total = sum(means)
+        if forecasts is not None and not (total < math.inf and min(means) >= 0.0):
+            # raises FeederFormatError naming a negative or non-finite mean;
+            # a sum that overflows alone passes
+            tree.with_loads(mean=dict(zip(order[1:], means[1:])))
+
+        if self._var_below[0] is not tree.var:
+            variances = list(map(tree.var.__getitem__, order))
+            for i, kids in self._children:
+                s = variances[i]
+                for c in kids:
+                    s += variances[c]
+                variances[i] = s
+            variances[0] = 0.0
+            self._var_below = (tree.var, np.array(variances, dtype=float))
+        for i, kids in self._children:
+            m = means[i]
+            for c in kids:
+                m += means[c]
+            means[i] = m
+        means[0] = 0.0
+        return _Moments(np.array(means, dtype=float), self._var_below[1], total)
+
+    def _as_moments(self, stats: CumulativeStats | _Moments) -> _Moments:
+        if isinstance(stats, _Moments):
+            return stats
+        edges = self.tree.order[1:]
+        return _Moments(
+            mean=np.array([0.0] + [stats.mean_below[e] for e in edges]),
+            var=np.array([0.0] + [stats.var_below[e] for e in edges]),
+            total_mean=stats.total_mean,
+        )
 
     def readings(self, flows: Mapping[EdgeId, float]) -> np.ndarray:
         """Flow readings in ``sensors`` order."""
@@ -321,52 +593,39 @@ class DetectorPlan:
 
     def detect(
         self,
-        stats: CumulativeStats,
+        stats: CumulativeStats | _Moments,
         flows: Mapping[EdgeId, float],
         *,
         max_outages: int | None = 2,
         rho: float | None = None,
         cap: int = 1_000_000,
     ) -> Detection:
-        """:func:`detect` with the moments of ``stats``."""
+        """:func:`detect` with the moments of ``stats``: :meth:`matches`' kernel on one row."""
         _check_max_outages(max_outages)
-        positive = self.signs(self.readings(flows), stats.total_mean).tolist()
+        _check_rho(rho)
+        moments = self._as_moments(stats)
+        readings = self.readings(flows)
+        positive = self.signs(readings, moments.total_mean)
         if not positive[self._root_index]:
             return Detection(hypothesis=frozenset({self.root_edge}), areas=())
-
-        log_rho = math.log(rho) if rho is not None else 0.0
-        decisions: list[AreaDecision] = []
-        picks: list[Hypothesis] = []
-        for i, (area, (r, kids)) in enumerate(zip(self.areas, self._area_index)):
-            if not positive[r]:
-                continue
-            key = tuple(positive[j] for j in kids)
-            local = self.hypotheses(i, key, max_outages=max_outages, cap=cap)
-            if not local:
-                raise DetectionError(
-                    f"no hypothesis consistent with flows in area of {area.root_sensor!r}"
-                )
-            pattern = dict(zip(area.child_sensors, key))
-            ds = effective_measurement(area, flows)
-            # ``local`` is in hypothesis_sort_key order, so keeping the first
-            # maximum breaks ties by fewest edges, then edge ids
-            for k, h in enumerate(local):
-                mu, var = hypothesis_stats(area, h, pattern, stats)
-                d = ds - mu
-                ll = _log_norm(var) - d * d / (2.0 * var)
-                if rho is not None:
-                    ll += len(h) * log_rho
-                if k == 0 or ll > best_ll:
-                    best, best_ll = h, ll
-            decisions.append(AreaDecision(area.root_sensor, best, best_ll))
-            picks.append(best)
-
-        combined: frozenset = frozenset().union(*picks) if picks else frozenset()
-        return Detection(hypothesis=combined, areas=tuple(decisions))
+        area, hyps, starts, first, ll = self._score(
+            moments, readings[None, :], positive, max_outages=max_outages, rho=rho, cap=cap
+        )
+        # segments hold clean areas first, then areas with a dark child sensor
+        segment_area = area[starts]
+        order = np.argsort(segment_area, kind="stable")
+        won = first[0, order]
+        picks = hyps[won]
+        decisions = tuple(
+            AreaDecision(self.sensors[i], h, x)
+            for i, h, x in zip(segment_area[order].tolist(), picks, ll[0, won].tolist())
+        )
+        combined: frozenset = frozenset().union(*picks)
+        return Detection(hypothesis=combined, areas=decisions)
 
     def matches(
         self,
-        stats: CumulativeStats,
+        stats: CumulativeStats | _Moments,
         readings: np.ndarray,
         hypothesis: Hypothesis,
         *,
@@ -376,51 +635,50 @@ class DetectorPlan:
     ) -> np.ndarray:
         """Per row of ``readings`` (trials x ``sensors``): does :meth:`detect` return ``hypothesis``?
 
-        Classifies every trial of an area at once, grouped by the trial's
-        child-sensor sign pattern, with the same arithmetic as
-        :meth:`detect`, so each entry equals comparing that call's result.
+        Trials are grouped by sign row (one group in practice), and each
+        group runs through the kernel of :meth:`detect`, so each entry equals
+        comparing that call's result.
         """
         _check_max_outages(max_outages)
-        positive = self.signs(readings, stats.total_mean)
-        n = readings.shape[0]
+        _check_rho(rho)
+        moments = self._as_moments(stats)
+        positive = self.signs(readings, moments.total_mean)
         root_live = positive[:, self._root_index]
         if self.root_edge in hypothesis:
             # no area holds the root edge: only a dark root reports it
-            return ~root_live if hypothesis == {self.root_edge} else np.zeros(n, dtype=bool)
-        ok = root_live.copy()
-        log_rho = math.log(rho) if rho is not None else 0.0
-        for i, (area, (r, kids)) in enumerate(zip(self.areas, self._area_index)):
-            truth = hypothesis.intersection(area.edges)
+            return ~root_live if hypothesis == {self.root_edge} else np.zeros(len(readings), dtype=bool)
+        # each area's share of the hypothesis; an id in no area is never detected
+        truth = {
+            i: frozenset(e for e in hypothesis if self._edge_area.get(e) == i)
+            for i in {self._edge_area.get(e) for e in hypothesis}
+        }
+        ok = np.zeros(len(readings), dtype=bool)
+        trials = np.flatnonzero(root_live)
+        if not len(trials):
+            return ok
+        signs = positive[trials]
+        if (signs == signs[0]).all():
+            groups = [(signs[0], trials)]
+        else:
+            by_sign: dict[bytes, list[int]] = {}
+            for t, sign in zip(trials.tolist(), signs):
+                by_sign.setdefault(sign.tobytes(), []).append(t)
+            groups = [(positive[ts[0]], np.array(ts)) for ts in by_sign.values()]
+        for sign, rows in groups:
+            area, hyps, starts, first, _ = self._score(
+                moments, readings[rows], sign, max_outages=max_outages, rho=rho, cap=cap
+            )
             # a dark area decides nothing, so it can hold no true outage
-            area_ok = np.full(n, not truth)
-            rows = np.flatnonzero(positive[:, r])
-            if rows.size:
-                ds = readings[rows, r] - sum(readings[rows, c] for c in kids)
-                keys = positive[np.ix_(rows, kids)]
-                if (keys == keys[:1]).all():
-                    groups = [(keys[0], slice(None))]
-                else:
-                    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-                    groups = [(u, inverse.ravel() == g) for g, u in enumerate(uniq)]
-                for key_arr, sel in groups:
-                    key = tuple(key_arr.tolist())
-                    local = self.hypotheses(i, key, max_outages=max_outages, cap=cap)
-                    if not local:
-                        raise DetectionError(
-                            f"no hypothesis consistent with flows in area of {area.root_sensor!r}"
-                        )
-                    pattern = dict(zip(area.child_sensors, key))
-                    moments = [hypothesis_stats(area, h, pattern, stats) for h in local]
-                    mu = np.array([m for m, _ in moments])
-                    var = np.array([v for _, v in moments])
-                    norm = np.array([_log_norm(v) for _, v in moments])
-                    d = ds[sel, None] - mu
-                    ll = norm - d * d / (2.0 * var)
-                    if rho is not None:
-                        ll = ll + np.array([len(h) * log_rho for h in local])
-                    want = local.index(truth) if truth in local else -1
-                    area_ok[rows[sel]] = ll.argmax(axis=1) == want
-            ok &= area_ok
+            if None in truth or not all(sign[i] for i in truth):
+                continue
+            # the empty hypothesis leads every segment that holds it
+            want = np.where([not h for h in hyps[starts]], starts, -1)
+            for s, i in enumerate(area[starts].tolist()):
+                if i in truth:
+                    end = starts[s + 1] if s + 1 < len(starts) else len(area)
+                    local = hyps[starts[s]:end].tolist()
+                    want[s] = starts[s] + local.index(truth[i]) if truth[i] in local else -1
+            ok[rows] = (first == want).all(axis=1)
         return ok
 
 
@@ -430,8 +688,13 @@ def plan_for(tree: Tree, sensors: Iterable[EdgeId]) -> DetectorPlan:
     Plans live in a small module cache keyed by ``(id(tree.parent), sensors)``.
     A hit must hold this very ``parent`` and ``children`` mapping, so trees
     from :meth:`Tree.with_loads` of one feeder share a plan, while any other
-    topology (even one with the same vertex ids) gets its own.
+    topology (even one with the same vertex ids) gets its own. A tuple that
+    is already a plan's sensor tuple, as :func:`load_feeder` returns it,
+    finds its plan without being normalized again.
     """
+    plan = _PLANS.get((id(tree.parent), sensors)) if type(sensors) is tuple else None
+    if plan is not None and plan.tree.parent is tree.parent and plan.tree.children is tree.children:
+        return plan
     normalized = _sensor_tuple(tree, sensors)
     key = (id(tree.parent), normalized)
     plan = _PLANS.get(key)
@@ -442,13 +705,6 @@ def plan_for(tree: Tree, sensors: Iterable[EdgeId]) -> DetectorPlan:
             del _PLANS[next(iter(_PLANS))]
         _PLANS[key] = plan
     return plan
-
-
-def _forecast_tree(tree: Tree, obs: Observation) -> Tree:
-    if obs.forecasts is None:
-        return tree
-    means = {v: m for v, m in obs.forecasts.items() if v != tree.root}
-    return tree.with_loads(mean=means)
 
 
 def detect(
@@ -470,8 +726,9 @@ def detect(
     :func:`hypothesis_sort_key` order.
 
     The topology-only work comes from :func:`plan_for`, so repeated calls on
-    one feeder and sensor set build areas and hypothesis groups once.
+    one feeder and sensor set build areas and compile scoring rows once.
     """
+    _check_rho(rho)
     plan = plan_for(tree, sensors)
-    stats = cumulative_stats(_forecast_tree(tree, obs))
-    return plan.detect(stats, obs.flows, max_outages=max_outages, rho=rho, cap=cap)
+    moments = plan._moments(tree, obs.forecasts)
+    return plan.detect(moments, obs.flows, max_outages=max_outages, rho=rho, cap=cap)

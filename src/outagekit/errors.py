@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .detector import Area, hypothesis_stats
-from .hypotheses import Hypothesis, pattern_groups
+from .hypotheses import Hypothesis, _check_rho, pattern_groups
 from .network import CumulativeStats
 
 __all__ = [
@@ -41,12 +41,6 @@ _MERGE_TOL = 1e-12
 
 class IndistinguishableHypothesesError(ValueError):
     """Two hypotheses share (mu, sigma2, prior): the detector cannot separate them."""
-
-
-def _check_rho(rho: float | None) -> None:
-    """Reject a per-edge outage prior rho that is not a finite positive number."""
-    if rho is not None and not (math.isfinite(rho) and rho > 0.0):
-        raise ValueError(f"rho must be a finite positive number, got {rho!r}")
 
 
 @dataclass(frozen=True)

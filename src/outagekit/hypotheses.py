@@ -13,6 +13,7 @@ checks that the patterns tile the unrestricted set, are test oracles in
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from .network import BranchGraph, BranchId, EdgeId
@@ -37,6 +38,12 @@ class EnumerationCapError(RuntimeError):
 def _check_max_outages(max_outages: int | None) -> None:
     if max_outages is not None and max_outages < 0:
         raise ValueError(f"max_outages must be non-negative, got {max_outages}")
+
+
+def _check_rho(rho: float | None) -> None:
+    """Reject a per-edge outage prior rho that is not a finite positive number."""
+    if rho is not None and not (math.isfinite(rho) and rho > 0.0):
+        raise ValueError(f"rho must be a finite positive number, got {rho!r}")
 
 
 def hypothesis_sort_key(h: Hypothesis) -> tuple[int, tuple[EdgeId, ...]]:

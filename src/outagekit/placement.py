@@ -20,8 +20,8 @@ from itertools import combinations
 from typing import Container, Iterable
 
 from .detector import build_area, build_areas
-from .errors import _check_rho, area_errors, area_max_error
-from .hypotheses import _check_max_outages
+from .errors import area_errors, area_max_error
+from .hypotheses import _check_max_outages, _check_rho
 from .network import EdgeId, Tree, _root_edge, branch_decompose, cumulative_stats
 
 __all__ = [

@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .detector import Observation, plan_for
-from .hypotheses import _check_max_outages
-from .network import EdgeId, Tree, _sensor_tuple, build_tree, cumulative_stats
+from .hypotheses import _check_max_outages, _check_rho
+from .network import EdgeId, Tree, _sensor_tuple, build_tree
 from .placement import MODES, Placement, PlacementConfig, _AreaTable, _solve
 
 __all__ = [
@@ -208,15 +208,16 @@ def empirical_detection_rate(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    _check_rho(rho)
     hyp = frozenset(h_true)
     plan = plan_for(tree, sensors)
-    stats = cumulative_stats(tree)
+    moments = plan._moments(tree)
     rng = np.random.default_rng(seed)
     right = 0
     for start in range(0, n_trials, MC_CHUNK):
         readings = _sample_readings(tree, plan.sensors, hyp, min(MC_CHUNK, n_trials - start), rng)
         right += int(
-            plan.matches(stats, readings, hyp, max_outages=max_outages, rho=rho, cap=cap).sum()
+            plan.matches(moments, readings, hyp, max_outages=max_outages, rho=rho, cap=cap).sum()
         )
     p = (n_trials - right) / n_trials
     se = math.sqrt(max(p * (1.0 - p), 1.0 / n_trials) / n_trials)

@@ -1,9 +1,9 @@
 """Tree builders and brute-force oracles shared across the test modules.
 
 The oracles validate the library against slower, independent routes: the
-P/Z/U sign-pattern labeller, the joint-likelihood detector, the all-pairs
-winner partition, the scalar Monte Carlo error and the exhaustive placement
-search.
+P/Z/U sign-pattern labeller, the per-hypothesis scalar detector, the
+joint-likelihood detector, the all-pairs winner partition, the scalar Monte
+Carlo error and the exhaustive placement search.
 """
 from __future__ import annotations
 
@@ -15,13 +15,23 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from outagekit.detector import DetectionError, Observation, _forecast_tree, plan_for
+from outagekit.detector import (
+    Area,
+    AreaDecision,
+    Detection,
+    DetectionError,
+    DetectorPlan,
+    Observation,
+    hypothesis_stats,
+    plan_for,
+)
 from outagekit import errors
 from outagekit.errors import _MERGE_TOL, _winner_partition
 from outagekit.hypotheses import (
     DEFAULT_CAP,
     EnumerationCapError,
     Hypothesis,
+    _check_max_outages,
     enumerate_unique,
     hypothesis_sort_key,
 )
@@ -29,6 +39,7 @@ from outagekit.network import (
     Branch,
     BranchGraph,
     BranchId,
+    CumulativeStats,
     EdgeId,
     Tree,
     _root_edge,
@@ -508,6 +519,80 @@ def conserve_check(
 
 
 # joint-likelihood detector over all positive sensors
+
+
+def _forecast_tree(tree: Tree, obs: Observation) -> Tree:
+    if obs.forecasts is None:
+        return tree
+    means = {v: m for v, m in obs.forecasts.items() if v != tree.root}
+    return tree.with_loads(mean=means)
+
+
+def effective_measurement(area: Area, flows: Mapping[EdgeId, float]) -> float:
+    """Root reading minus the sum of child-sensor readings."""
+    try:
+        return flows[area.root_sensor] - sum(flows[c] for c in area.child_sensors)
+    except KeyError as exc:
+        raise DetectionError(f"missing flow reading for sensor {exc.args[0]!r}") from exc
+
+
+def _log_norm(var: float) -> float:
+    """Log-density constant of N(mu, var)."""
+    return -0.5 * math.log(2.0 * math.pi * var)
+
+
+def scalar_detect_oracle(
+    plan: DetectorPlan,
+    stats: CumulativeStats,
+    flows: Mapping[EdgeId, float],
+    *,
+    max_outages: int | None = 2,
+    rho: float | None = None,
+    cap: int = 1_000_000,
+) -> Detection:
+    """Per-area, per-hypothesis scoring loop; reference for the compiled kernel.
+
+    Scores one hypothesis at a time through :func:`hypothesis_stats` and
+    keeps each area's first maximum, raising what the kernel raises.
+    """
+    _check_max_outages(max_outages)
+    positive = plan.signs(plan.readings(flows), stats.total_mean).tolist()
+    if not positive[plan._root_index]:
+        return Detection(hypothesis=frozenset({plan.root_edge}), areas=())
+
+    index = {s: i for i, s in enumerate(plan.sensors)}
+    area_index = [
+        (index[a.root_sensor], tuple(index[c] for c in a.child_sensors)) for a in plan.areas
+    ]
+    log_rho = math.log(rho) if rho is not None else 0.0
+    decisions: list[AreaDecision] = []
+    picks: list[Hypothesis] = []
+    for i, (area, (r, kids)) in enumerate(zip(plan.areas, area_index)):
+        if not positive[r]:
+            continue
+        key = tuple(positive[j] for j in kids)
+        local = plan.hypotheses(i, key, max_outages=max_outages, cap=cap)
+        if not local:
+            raise DetectionError(
+                f"no hypothesis consistent with flows in area of {area.root_sensor!r}"
+            )
+        pattern = dict(zip(area.child_sensors, key))
+        ds = effective_measurement(area, flows)
+        # ``local`` is in hypothesis_sort_key order, so keeping the first
+        # maximum breaks ties by fewest edges, then edge ids
+        for k, h in enumerate(local):
+            mu, var = hypothesis_stats(area, h, pattern, stats)
+            d = ds - mu
+            ll = _log_norm(var) - d * d / (2.0 * var)
+            if rho is not None:
+                ll += len(h) * log_rho
+            if k == 0 or ll > best_ll:
+                best, best_ll = h, ll
+        decisions.append(AreaDecision(area.root_sensor, best, best_ll))
+        picks.append(best)
+
+    combined: frozenset = frozenset().union(*picks) if picks else frozenset()
+    return Detection(hypothesis=combined, areas=tuple(decisions))
 
 
 def _pick(

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -11,6 +12,8 @@ from helpers import (
     TRAP_PARENTS,
     TRAP_VARS,
     detect_centralized_oracle,
+    effective_measurement,
+    scalar_detect_oracle,
     sensed_parent_oracle,
     tree_from,
 )
@@ -22,11 +25,11 @@ from outagekit.detector import (
     ObservationFormatError,
     build_areas,
     detect,
-    effective_measurement,
     hypothesis_stats,
     observation_from_json,
     plan_for,
 )
+from outagekit.hypotheses import EnumerationCapError
 from outagekit.network import FeederFormatError, build_tree, cumulative_stats
 from outagekit.placement import PlacementConfig, solve_feasibility
 from outagekit.sim import ForecastModel, random_tree, simulate_outage
@@ -313,3 +316,108 @@ def test_negative_outage_bound_is_rejected(five_edge_tree):
         detect(five_edge_tree, ["e1"], obs, max_outages=-1)
     with pytest.raises(ValueError, match="max_outages"):
         DetectorPlan(five_edge_tree, ["e1"]).hypotheses(0, (), max_outages=-1, cap=100)
+
+
+def _outcome(fn):
+    """``fn()``'s result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except (DetectionError, EnumerationCapError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_case(rng: random.Random):
+    """A seeded feeder, sensor set and simulated observation of 0-2 outages.
+
+    Some feeders carry loads with no forecast variance and some sensors are
+    dropped from the readings, so every check of the scoring loop fires.
+    """
+    tree = ForecastModel("fixed_kappa", kappa=rng.choice((0.05, 0.3))).apply(
+        random_tree(rng.randint(3, 25), seed=rng.randrange(10**6))
+    )
+    edges = list(tree.edges)
+    if rng.random() < 0.2:
+        tree = tree.with_loads(var={v: 0.0 for v in rng.sample(edges, k=len(edges) // 2)})
+    sensors = sorted({edges[0], *rng.sample(edges, k=rng.randint(0, len(edges) // 2))})
+    while True:
+        truth = frozenset(rng.sample(edges[1:], k=min(len(edges) - 1, rng.randint(0, 2))))
+        if not any(a != b and tree.is_ancestor_edge(a, b) for a in truth for b in truth):
+            break
+    obs = simulate_outage(tree, sensors, truth, seed=rng.randrange(10**6))
+    if rng.random() < 0.05:
+        flows = dict(obs.flows)
+        del flows[rng.choice(sorted(flows))]
+        obs = Observation(flows=flows, forecasts=obs.forecasts)
+    return tree, sensors, obs
+
+
+def test_compiled_kernel_equals_scalar_oracle():
+    rng = random.Random(1717)
+    equal = tree_from(FIVE_EDGE_PARENTS, variances=0.01)
+    cases = [_random_case(rng) for _ in range(80)]
+    cases += [(equal, ["e1"], Observation(flows={"e1": f})) for f in (5.0, 4.0, 3.0, 2.0)]
+    # the upper area has no variance left, and with max_outages=0 the lower
+    # area has no hypothesis for its dark child: the upper area's error wins
+    chain = tree_from(
+        {"a": "root", "b": "a", "c": "b", "d": "c", "e": "d"},
+        variances={"a": 0.0, "b": 0.0, "c": 0.1, "d": 0.1, "e": 0.1},
+    )
+    cases.append((chain, ["a", "c", "e"], Observation(flows={"a": 4.0, "c": 2.0, "e": 0.0})))
+    raised = set()
+    for tree, sensors, obs in cases:
+        plan = DetectorPlan(tree, sensors)
+        stats = cumulative_stats(tree)
+        for max_outages in (0, 1, 2, None):
+            for rho in (None, 0.2):
+                for cap in (1_000_000, 6):
+                    kw = dict(max_outages=max_outages, rho=rho, cap=cap)
+                    want = _outcome(lambda: scalar_detect_oracle(plan, stats, obs.flows, **kw))
+                    got = _outcome(lambda: detect(tree, sensors, obs, **kw))
+                    if isinstance(want, tuple):
+                        raised.add(want[0])
+                        assert got == want
+                        continue
+                    assert got.hypothesis == want.hypothesis
+                    assert [(a.root_sensor, a.hypothesis) for a in got.areas] == [
+                        (a.root_sensor, a.hypothesis) for a in want.areas
+                    ]
+                    for a, b in zip(got.areas, want.areas):
+                        assert a.loglik == pytest.approx(b.loglik, rel=1e-9, abs=1e-12)
+    # every check of the scoring loop was met
+    assert raised == {DetectionError, EnumerationCapError, ValueError}
+
+
+def test_matches_groups_trials_by_sign_row():
+    tree = ForecastModel("fixed_kappa", kappa=0.05).apply(random_tree(40, seed=4))
+    edges = list(tree.edges)
+    plan = DetectorPlan(tree, edges[::3])
+    stats = cumulative_stats(tree)
+    outages = [(), (edges[5],), (edges[9],), (edges[0],)]
+    readings = np.array(
+        [
+            plan.readings(simulate_outage(tree, plan.sensors, outages[t % 4], seed=t).flows)
+            for t in range(40)
+        ]
+    )
+    signs = plan.signs(readings, stats.total_mean)
+    assert len({row.tobytes() for row in signs}) == 4
+    for outage in outages:
+        want = [
+            plan.detect(stats, dict(zip(plan.sensors, row))).hypothesis == frozenset(outage)
+            for row in readings.tolist()
+        ]
+        assert plan.matches(stats, readings, frozenset(outage)).tolist() == want
+        assert any(want)
+
+
+@pytest.mark.parametrize("rho", [float("nan"), 0.0, -1.0, float("inf")])
+def test_detect_rejects_bad_rho(rho):
+    tree = ForecastModel("fixed_kappa", kappa=0.1).apply(random_tree(10, seed=1))
+    obs = simulate_outage(tree, ["v3"], {"v3"})
+    with pytest.raises(ValueError, match="rho"):
+        detect(tree, ["v3"], obs, rho=rho)
+    plan = DetectorPlan(tree, ["v3"])
+    with pytest.raises(ValueError, match="rho"):
+        plan.detect(cumulative_stats(tree), obs.flows, rho=rho)
+    with pytest.raises(ValueError, match="rho"):
+        plan.matches(cumulative_stats(tree), plan.readings(obs.flows)[None, :], frozenset({"v3"}), rho=rho)

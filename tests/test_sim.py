@@ -4,11 +4,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import outagekit
 from helpers import (
     DEEP_PARENTS,
     FIVE_EDGE_PARENTS,
@@ -187,6 +191,44 @@ def test_empirical_rate_rejects_bad_counts(five_edge_tree):
         empirical_detection_rate(five_edge_tree, ["e1"], frozenset(), 0)
     with pytest.raises(ValueError, match="max_outages"):
         empirical_detection_rate(five_edge_tree, ["e1"], frozenset(), 10, max_outages=-1)
+
+
+@pytest.mark.parametrize("rho", [float("nan"), 0.0, -1.0, float("inf")])
+def test_empirical_rate_rejects_bad_rho(rho):
+    tree = ForecastModel("fixed_kappa", kappa=0.1).apply(random_tree(10, seed=1))
+    with pytest.raises(ValueError, match="rho"):
+        empirical_detection_rate(tree, ["v3"], frozenset({"v3"}), 10, rho=rho)
+
+
+HASH_SEED_SCRIPT = """
+from outagekit.detector import detect
+from outagekit.placement import PlacementConfig, solve_feasibility
+from outagekit.sim import ForecastModel, SweepConfig, random_tree, simulate_outage, sweep
+
+result = sweep(SweepConfig(seed=3, n_vertices=60, max_outages=2, kappas=(0.01,), targets=(0.05,)))
+tree = ForecastModel("fixed_kappa", kappa=0.3).apply(random_tree(60, seed=3))
+sensors = solve_feasibility(tree, 0.2, config=PlacementConfig(max_outages=2)).sensors
+runs = [
+    detect(tree, sensors, simulate_outage(tree, sensors, outage, seed=s)).to_json()
+    for s, outage in enumerate([(), ("v17",), ("v20", "v45")])
+]
+print(repr((result.rows, sorted(result.histograms.items()), runs)))
+"""
+
+
+def test_outputs_do_not_depend_on_hash_seed():
+    # moments are summed in edge-id order, never in set iteration order
+    src = os.path.dirname(os.path.dirname(os.path.abspath(outagekit.__file__)))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert "mean_err=0.0010288327552691874" in outputs[0]
 
 
 def test_sweep_small_grid(tmp_path):
