@@ -117,15 +117,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer of at least zero."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _parse_outage(text: str | None) -> frozenset:
@@ -228,7 +232,9 @@ def build_parser() -> _Parser:
     def common(p: argparse.ArgumentParser, *, rho: bool = True) -> None:
         p.add_argument("--feeder", required=True, help="feeder JSON file")
         p.add_argument("--max-outages", type=int, default=2, dest="max_outages")
-        p.add_argument("--cap", type=int, default=1_000_000, help="hypothesis cap per area")
+        p.add_argument(
+            "--cap", type=_int_at_least(1), default=1_000_000, help="hypothesis cap per area"
+        )
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
         if rho:
             p.add_argument(
@@ -256,7 +262,7 @@ def build_parser() -> _Parser:
         "--target", type=_finite_float, default=None, help="error target in (0, 1)"
     )
     group.add_argument(
-        "--budget", type=_non_negative_int, default=None, help="added-sensor budget"
+        "--budget", type=_int_at_least(0), default=None, help="added-sensor budget"
     )
     p.add_argument("--mode", choices=MODES, default="greedy")
     p.set_defaults(func=_cmd_place)

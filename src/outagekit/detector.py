@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Container, Iterable, Mapping, NamedTuple
 
@@ -204,8 +205,12 @@ def _no_variance(var: float, hypothesis: Hypothesis) -> ValueError:
     )
 
 
-@dataclass(frozen=True)
-class AreaDecision:
+class AreaDecision(NamedTuple):
+    """One live area's decision: its root sensor, the local hypothesis it
+    picked and that pick's log-likelihood (plus ``|H| ln rho`` under a
+    prior). A tuple, so it equals the plain 3-tuple
+    ``(root_sensor, hypothesis, loglik)``."""
+
     root_sensor: EdgeId
     hypothesis: Hypothesis
     loglik: float
@@ -213,21 +218,31 @@ class AreaDecision:
 
 @dataclass(frozen=True)
 class Detection:
-    """Global estimate (union of local picks) plus the per-area decisions."""
+    """Global estimate (union of local picks) plus the per-area decisions.
+
+    The decisions are held as three columns over the live areas, in area
+    order: ``root_sensors``, the picked hypotheses ``picks`` and their
+    ``logliks``. Equality compares the estimate and every column. The
+    :class:`AreaDecision` records of :attr:`areas` are built the first time
+    it is read, and :meth:`to_json` reads the columns directly, so a caller
+    that wants only ``hypothesis`` builds no per-area object.
+    """
 
     hypothesis: Hypothesis
-    areas: tuple[AreaDecision, ...]
+    root_sensors: tuple[EdgeId, ...] = ()
+    picks: tuple[Hypothesis, ...] = ()
+    logliks: tuple[float, ...] = ()
+
+    @cached_property
+    def areas(self) -> tuple[AreaDecision, ...]:
+        return tuple(map(AreaDecision._make, zip(self.root_sensors, self.picks, self.logliks)))
 
     def to_json(self) -> dict:
         return {
             "global": sorted(self.hypothesis),
             "areas": [
-                {
-                    "root": a.root_sensor,
-                    "hypothesis": sorted(a.hypothesis),
-                    "loglik": a.loglik,
-                }
-                for a in self.areas
+                {"root": r, "hypothesis": sorted(h), "loglik": x}
+                for r, h, x in zip(self.root_sensors, self.picks, self.logliks)
             ],
         }
 
@@ -318,6 +333,7 @@ class DetectorPlan:
     def __init__(self, tree: Tree, sensors: Iterable[EdgeId]):
         self.tree = tree
         self.sensors = _sensor_tuple(tree, sensors)
+        self._sensor_ids = np.array(self.sensors, dtype=object)
         self.areas = build_areas(tree, self.sensors)
         self.root_edge = _root_edge(tree)
         index = {s: i for i, s in enumerate(self.sensors)}
@@ -607,7 +623,7 @@ class DetectorPlan:
         readings = self.readings(flows)
         positive = self.signs(readings, moments.total_mean)
         if not positive[self._root_index]:
-            return Detection(hypothesis=frozenset({self.root_edge}), areas=())
+            return Detection(hypothesis=frozenset({self.root_edge}))
         area, hyps, starts, first, ll = self._score(
             moments, readings[None, :], positive, max_outages=max_outages, rho=rho, cap=cap
         )
@@ -615,13 +631,13 @@ class DetectorPlan:
         segment_area = area[starts]
         order = np.argsort(segment_area, kind="stable")
         won = first[0, order]
-        picks = hyps[won]
-        decisions = tuple(
-            AreaDecision(self.sensors[i], h, x)
-            for i, h, x in zip(segment_area[order].tolist(), picks, ll[0, won].tolist())
+        picks = tuple(hyps[won].tolist())
+        return Detection(
+            hypothesis=frozenset().union(*picks),
+            root_sensors=tuple(self._sensor_ids[segment_area[order]].tolist()),
+            picks=picks,
+            logliks=tuple(ll[0, won].tolist()),
         )
-        combined: frozenset = frozenset().union(*picks)
-        return Detection(hypothesis=combined, areas=decisions)
 
     def matches(
         self,

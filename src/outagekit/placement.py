@@ -58,6 +58,8 @@ class PlacementConfig:
     def __post_init__(self) -> None:
         _check_max_outages(self.max_outages)
         _check_rho(self.rho)
+        if self.cap < 1:
+            raise ValueError(f"cap must be at least 1, got {self.cap}")
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,15 @@ class ForecastModel:
         return tree.with_loads(var=var)
 
 
+def _check_tree_shape(max_children: int, mean_range: tuple[float, float]) -> None:
+    """Reject a fan-out limit below 1 and a reversed ``mean_range``."""
+    if max_children < 1:
+        raise ValueError(f"max_children must be at least 1, got {max_children}")
+    lo, hi = mean_range
+    if lo > hi:
+        raise ValueError(f"mean_range must be (low, high) with low <= high, got ({lo}, {hi})")
+
+
 def random_tree(
     n: int,
     *,
@@ -97,6 +106,7 @@ def random_tree(
     """
     if n < 2:
         raise ValueError("need at least a root and one load vertex")
+    _check_tree_shape(max_children, mean_range)
     rng = random.Random(seed)
     lo, hi = mean_range
     records = [
@@ -245,6 +255,7 @@ class SweepConfig:
         _check_max_outages(self.max_outages)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        _check_tree_shape(self.max_children, self.mean_range)
 
 
 @dataclass(frozen=True)

@@ -558,7 +558,7 @@ def scalar_detect_oracle(
     _check_max_outages(max_outages)
     positive = plan.signs(plan.readings(flows), stats.total_mean).tolist()
     if not positive[plan._root_index]:
-        return Detection(hypothesis=frozenset({plan.root_edge}), areas=())
+        return Detection(hypothesis=frozenset({plan.root_edge}))
 
     index = {s: i for i, s in enumerate(plan.sensors)}
     area_index = [
@@ -566,7 +566,6 @@ def scalar_detect_oracle(
     ]
     log_rho = math.log(rho) if rho is not None else 0.0
     decisions: list[AreaDecision] = []
-    picks: list[Hypothesis] = []
     for i, (area, (r, kids)) in enumerate(zip(plan.areas, area_index)):
         if not positive[r]:
             continue
@@ -589,10 +588,9 @@ def scalar_detect_oracle(
             if k == 0 or ll > best_ll:
                 best, best_ll = h, ll
         decisions.append(AreaDecision(area.root_sensor, best, best_ll))
-        picks.append(best)
 
-    combined: frozenset = frozenset().union(*picks) if picks else frozenset()
-    return Detection(hypothesis=combined, areas=tuple(decisions))
+    roots, picks, logliks = zip(*decisions) if decisions else ((), (), ())
+    return Detection(frozenset().union(*picks), roots, picks, logliks)
 
 
 def _pick(

@@ -306,6 +306,24 @@ def test_deep_caterpillar_stops_at_the_cap(capsys, tmp_path, command):
     assert "cap" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"max_children": 0}, "max_children"),
+        ({"max_children": -1}, "max_children"),
+        ({"mean_range": [1.5, 0.5]}, "mean_range"),
+    ],
+)
+def test_sweep_rejects_bad_tree_shape(capsys, tmp_path, fields, named):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_vertices": 30, **fields}))
+    code, out, err = run(capsys, ["sweep", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert out == ""
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_rejects_negative_outage_bound(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"n_vertices": 10, "max_outages": -1}))
@@ -384,6 +402,11 @@ def test_malformed_json_values_exit_1(
         (["place", "--target", "0.2", "--rho", "inf"], "--rho"),
         (["place", "--target", "nan"], "--target"),
         (["place", "--budget", "-1"], "--budget"),
+        (["enumerate", "--cap", "0"], "--cap"),
+        (["detect", "--obs", "never-read.json", "--cap", "-1"], "--cap"),
+        (["evaluate", "--cap", "0"], "--cap"),
+        (["place", "--target", "0.2", "--cap", "-1"], "--cap"),
+        (["simulate", "--cap", "0"], "--cap"),
     ],
 )
 def test_bad_numbers_exit_1_naming_the_option(capsys, trap_feeder, argv, option):

@@ -1,6 +1,9 @@
 """Area construction and maximum-likelihood outage identification."""
 from __future__ import annotations
 
+import copy
+import dataclasses
+import json
 import random
 
 import numpy as np
@@ -32,7 +35,7 @@ from outagekit.detector import (
 from outagekit.hypotheses import EnumerationCapError
 from outagekit.network import FeederFormatError, build_tree, cumulative_stats
 from outagekit.placement import PlacementConfig, solve_feasibility
-from outagekit.sim import ForecastModel, random_tree, simulate_outage
+from outagekit.sim import ForecastModel, empirical_detection_rate, random_tree, simulate_outage
 
 
 def test_two_sensor_areas_on_deep_tree(deep_tree):
@@ -277,6 +280,56 @@ def test_tie_break_survives_plan_reuse(five_edge_tree):
         det = detect(five_edge_tree, ["e1"], Observation(flows={"e1": 4.0}))
         assert det.hypothesis == frozenset({"e4"})
         assert plan.detect(stats, {"e1": 4.0}) == det
+
+
+def test_deferred_area_records_never_alias():
+    tree = ForecastModel("fixed_kappa", kappa=0.3).apply(random_tree(120, seed=8))
+    sensors = solve_feasibility(tree, 0.2, config=PlacementConfig(max_outages=2)).sensors
+    plan = plan_for(tree, sensors)
+    edges = list(tree.edges)[1:]
+    inner = [s for s in plan.sensors if s != plan.root_edge]
+    assert inner, "the placement must give some area a child sensor"
+    rng = random.Random(3)
+
+    def observe(i: int) -> Observation:
+        # 0-2 outages; every third darkens a child sensor
+        truth = set(rng.sample(edges, k=i % 3))
+        if i % 3 == 1:
+            truth = {rng.choice(inner)}
+        flows = simulate_outage(tree, sensors, truth, seed=i).flows
+        factor = rng.uniform(0.9, 1.1) if i % 2 else 1.0
+        return Observation(flows=flows, forecasts={v: tree.mean[v] * factor for v in tree.edges})
+
+    kept = detect(tree, sensors, observe(1))
+    assert len(kept.root_sensors) > 1 and kept.root_sensors != plan.sensors
+    twin = copy.deepcopy(kept)
+    want_areas = [tuple(a) for a in twin.areas]
+    want_json = json.dumps(twin.to_json())
+    assert want_areas == list(zip(twin.root_sensors, twin.picks, twin.logliks))
+
+    for i in range(2, 52):
+        detect(tree, sensors, observe(i))
+    empirical_detection_rate(tree, sensors, {inner[0]}, 50, seed=2)
+    assert plan_for(tree, sensors) is plan
+
+    assert kept.areas == tuple(want_areas)
+    assert json.dumps(kept.to_json()) == want_json
+    assert kept.areas is kept.areas
+
+    # equality compares the estimate and every (root_sensor, hypothesis, loglik)
+    obs = observe(52)
+    read, unread = detect(tree, sensors, obs), detect(tree, sensors, obs)
+    assert read.areas and read == unread
+    first = kept.areas[0]
+    assert first == (first.root_sensor, first.hypothesis, first.loglik)
+    for change in (
+        dict(hypothesis=kept.hypothesis | {"elsewhere"}),
+        dict(root_sensors=kept.root_sensors[::-1]),
+        dict(picks=(kept.picks[0] | {"elsewhere"},) + kept.picks[1:]),
+        dict(logliks=(kept.logliks[0] + 1e-9,) + kept.logliks[1:]),
+    ):
+        assert dataclasses.replace(kept, **change) != kept
+    assert dataclasses.replace(kept) == kept
 
 
 def test_detect_rejects_non_finite_flows(five_edge_tree):

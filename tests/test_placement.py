@@ -226,3 +226,10 @@ def test_budget_equals_fresh_table_per_step(trap_tree):
 def test_negative_outage_bound_is_rejected():
     with pytest.raises(ValueError, match="max_outages"):
         PlacementConfig(max_outages=-1)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_below_one_is_rejected(cap):
+    with pytest.raises(ValueError, match="cap"):
+        PlacementConfig(cap=cap)
+    assert PlacementConfig(cap=1).cap == 1

@@ -87,6 +87,22 @@ def test_random_tree_shape():
         random_tree(1)
 
 
+def test_tree_shape_arguments_are_checked():
+    for kwargs, named in (
+        (dict(max_children=0), "max_children"),
+        (dict(max_children=-1), "max_children"),
+        (dict(mean_range=(1.5, 0.5)), "mean_range"),
+    ):
+        with pytest.raises(ValueError, match=named):
+            random_tree(30, seed=2, **kwargs)
+        with pytest.raises(ValueError, match=named):
+            SweepConfig(n_vertices=30, **kwargs)
+    # the limits themselves are valid: a chain, and equal means
+    chain = random_tree(30, seed=2, max_children=1, mean_range=(0.7, 0.7))
+    assert max(len(kids) for kids in chain.children.values()) == 1
+    assert set(chain.mean[e] for e in chain.edges) == {0.7}
+
+
 def test_random_tree_population_shape_bands():
     depths = []
     branching = []
