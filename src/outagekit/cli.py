@@ -149,14 +149,7 @@ def _cmd_enumerate(args) -> None:
 def _cmd_detect(args) -> None:
     tree, sensors = load_feeder(args.feeder)
     obs = observation_from_json(_load_json(args.obs))
-    det = detect(
-        tree,
-        sensors,
-        obs,
-        max_outages=args.max_outages,
-        rho=args.rho,
-        cap=args.cap,
-    )
+    det = detect(tree, sensors, obs, max_outages=args.max_outages, rho=args.rho, cap=args.cap)
     _emit(json.dumps(det.to_json(), indent=2), args.out)
 
 
@@ -186,14 +179,8 @@ def _cmd_simulate(args) -> None:
     if args.placement is not None:
         sensors = tuple(_load_sensor_list(args.placement))
     rate, se = empirical_detection_rate(
-        tree,
-        sensors,
-        _parse_outage(args.outage),
-        args.trials,
-        seed=args.seed,
-        max_outages=args.max_outages,
-        rho=args.rho,
-        cap=args.cap,
+        tree, sensors, _parse_outage(args.outage), args.trials,
+        seed=args.seed, max_outages=args.max_outages, rho=args.rho, cap=args.cap,
     )
     payload = {"error_rate": rate, "stderr": se, "trials": args.trials}
     _emit(json.dumps(payload, indent=2), args.out)

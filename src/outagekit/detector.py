@@ -12,10 +12,11 @@ the sensor set: the areas, their branch graphs and the hypotheses each
 child-sensor sign pattern allows. A :class:`DetectorPlan` holds that part
 and compiles it into scoring rows: per (area, hypothesis), the integer
 positions in ``tree.order`` of the subtrees the hypothesis removes from the
-measurement. A call builds the subtree moments of its own forecasts in one
-bottom-up pass, and one kernel scores the rows of every live area with a few
-array operations. :meth:`DetectorPlan.matches` runs that kernel on batches
-of Monte Carlo trials, and :func:`detect` is its one-row case. Two test
+measurement. A call builds the :class:`CumulativeStats` of its own forecasts
+with the subtree-sum pass of :func:`cumulative_stats`, and one kernel scores
+the rows of every live area with a few array operations.
+:meth:`DetectorPlan.matches` runs that kernel on batches of Monte Carlo
+trials, and :func:`detect` is its one-row case. Two test
 oracles in ``tests/helpers.py`` check it: ``scalar_detect_oracle`` scores
 one hypothesis at a time, and ``detect_centralized_oracle`` runs the joint
 multivariate test over all positive sensors that validates the decoupling.
@@ -46,6 +47,8 @@ from .network import (
     VertexId,
     _root_edge,
     _sensor_tuple,
+    _subtree_sums,
+    _topology,
     branch_decompose,
 )
 
@@ -184,15 +187,19 @@ def hypothesis_stats(
     subtree (its reading is subtracted from the measurement). A zero child
     sensor sits below some hypothesis edge, so its subtree is already gone.
     """
-    mu = stats.mean_below[area.root_sensor]
-    var = stats.var_below[area.root_sensor]
+    (mean, variance), position = stats._lists, stats.position
+    at = position[area.root_sensor]
+    mu = mean[at]
+    var = variance[at]
     for e in sorted(hypothesis):
-        mu -= stats.mean_below[e]
-        var -= stats.var_below[e]
+        at = position[e]
+        mu -= mean[at]
+        var -= variance[at]
     for c in area.child_sensors:
         if pattern[c]:
-            mu -= stats.mean_below[c]
-            var -= stats.var_below[c]
+            at = position[c]
+            mu -= mean[at]
+            var -= variance[at]
     if var <= 0.0:
         raise _no_variance(var, hypothesis)
     return mu, var
@@ -247,15 +254,6 @@ class Detection:
         }
 
 
-class _Moments(NamedTuple):
-    """Subtree sums of forecast means and variances, indexed by position in
-    ``tree.order``. Slot 0 (the root) reads 0, so it pads the scoring rows."""
-
-    mean: np.ndarray
-    var: np.ndarray
-    total_mean: float
-
-
 class _Rows(NamedTuple):
     """Scoring rows, one per (area, hypothesis); each area's rows are
     contiguous and in :func:`hypothesis_sort_key` order.
@@ -287,8 +285,9 @@ class _Rows(NamedTuple):
         )
 
     def moments(self, values: np.ndarray) -> np.ndarray:
-        """Each row's subtree sum of ``values``, cut in column order as
-        :func:`hypothesis_stats` cuts it."""
+        """Each row's moment from the ``mean`` or ``var`` array of a
+        :class:`CumulativeStats`, cut in column order as :func:`hypothesis_stats`
+        cuts it; padding reads slot 0, the root, which holds 0."""
         out = values[self.root]
         for col in self.cut:
             out -= values[col]
@@ -357,13 +356,9 @@ class DetectorPlan:
             (np.array(areas, dtype=np.intp), np.array(kids, dtype=np.intp))
             for areas, kids in columns
         ]
-        # integer edge index: position in tree.order, the root at 0
-        self._position = {v: i for i, v in enumerate(tree.order)}
-        self._children = [
-            (i, tuple(self._position[c] for c in tree.children[v]))
-            for i, v in reversed(tuple(enumerate(tree.order)))
-            if i and tree.children[v]
-        ]
+        # integer vertex index: position in tree.order, the root at 0
+        self._topology = _topology(tree)
+        self._position = self._topology.position
         self._edge_area = {e: i for i, a in enumerate(self.areas) for e in a.edges}
         self._var_below: tuple[Mapping[VertexId, float] | None, np.ndarray | None] = (None, None)
         self._compiled: dict[tuple[int | None, int], _Compiled] = {}
@@ -461,7 +456,7 @@ class DetectorPlan:
 
     def _score(
         self,
-        moments: _Moments,
+        moments: CumulativeStats,
         readings: np.ndarray,
         positive: np.ndarray,
         *,
@@ -519,14 +514,16 @@ class DetectorPlan:
         first = np.minimum.reduceat(np.where(hit, np.arange(len(area)), len(area)), starts, axis=1)
         return area, hyps, starts, first, ll
 
-    def _moments(self, tree: Tree, forecasts: Mapping[VertexId, float] | None = None) -> _Moments:
+    def _moments(
+        self, tree: Tree, forecasts: Mapping[VertexId, float] | None = None
+    ) -> CumulativeStats:
         """Subtree moments of ``tree``'s loads, with ``forecasts`` replacing its means.
 
-        One bottom-up pass over integer child lists, adding children in the
-        order :func:`cumulative_stats` adds them, so the sums are the same
-        floats. Forecasts must name vertices of the feeder and be finite and
-        non-negative; any for the root is ignored. The variance sums depend
-        on the tree alone and are kept for the last ``tree.var`` seen.
+        The plan's own ``_subtree_sums`` pass, the one :func:`cumulative_stats`
+        runs, so with no forecasts the sums are the same floats. Forecasts
+        must name vertices of the feeder and be finite and non-negative; any
+        for the root is ignored. The variance sums depend on the tree alone
+        and are kept for the last ``tree.var`` seen.
         """
         order = tree.order
         means = None
@@ -550,31 +547,16 @@ class DetectorPlan:
             tree.with_loads(mean=dict(zip(order[1:], means[1:])))
 
         if self._var_below[0] is not tree.var:
-            variances = list(map(tree.var.__getitem__, order))
-            for i, kids in self._children:
-                s = variances[i]
-                for c in kids:
-                    s += variances[c]
-                variances[i] = s
-            variances[0] = 0.0
-            self._var_below = (tree.var, np.array(variances, dtype=float))
-        for i, kids in self._children:
-            m = means[i]
-            for c in kids:
-                m += means[c]
-            means[i] = m
+            variances = [0.0, *map(tree.var.__getitem__, islice(order, 1, None))]
+            self._var_below = (tree.var, np.array(_subtree_sums(self._topology, variances)))
         means[0] = 0.0
-        return _Moments(np.array(means, dtype=float), self._var_below[1], total)
+        mean_sums = np.array(_subtree_sums(self._topology, means), dtype=float)
+        return CumulativeStats(mean_sums, self._var_below[1], total, self._position)
 
-    def _as_moments(self, stats: CumulativeStats | _Moments) -> _Moments:
-        if isinstance(stats, _Moments):
-            return stats
-        edges = self.tree.order[1:]
-        return _Moments(
-            mean=np.array([0.0] + [stats.mean_below[e] for e in edges]),
-            var=np.array([0.0] + [stats.var_below[e] for e in edges]),
-            total_mean=stats.total_mean,
-        )
+    def _check_stats(self, stats: CumulativeStats) -> None:
+        # identity first, so the plan's own moments pay nothing
+        if stats.position is not self._position and stats.position != self._position:
+            raise ValueError("stats are indexed by another feeder's vertices")
 
     def readings(self, flows: Mapping[EdgeId, float]) -> np.ndarray:
         """Flow readings in ``sensors`` order."""
@@ -609,7 +591,7 @@ class DetectorPlan:
 
     def detect(
         self,
-        stats: CumulativeStats | _Moments,
+        stats: CumulativeStats,
         flows: Mapping[EdgeId, float],
         *,
         max_outages: int | None = 2,
@@ -619,13 +601,13 @@ class DetectorPlan:
         """:func:`detect` with the moments of ``stats``: :meth:`matches`' kernel on one row."""
         _check_max_outages(max_outages)
         _check_rho(rho)
-        moments = self._as_moments(stats)
+        self._check_stats(stats)
         readings = self.readings(flows)
-        positive = self.signs(readings, moments.total_mean)
+        positive = self.signs(readings, stats.total_mean)
         if not positive[self._root_index]:
             return Detection(hypothesis=frozenset({self.root_edge}))
         area, hyps, starts, first, ll = self._score(
-            moments, readings[None, :], positive, max_outages=max_outages, rho=rho, cap=cap
+            stats, readings[None, :], positive, max_outages=max_outages, rho=rho, cap=cap
         )
         # segments hold clean areas first, then areas with a dark child sensor
         segment_area = area[starts]
@@ -641,7 +623,7 @@ class DetectorPlan:
 
     def matches(
         self,
-        stats: CumulativeStats | _Moments,
+        stats: CumulativeStats,
         readings: np.ndarray,
         hypothesis: Hypothesis,
         *,
@@ -657,8 +639,8 @@ class DetectorPlan:
         """
         _check_max_outages(max_outages)
         _check_rho(rho)
-        moments = self._as_moments(stats)
-        positive = self.signs(readings, moments.total_mean)
+        self._check_stats(stats)
+        positive = self.signs(readings, stats.total_mean)
         root_live = positive[:, self._root_index]
         if self.root_edge in hypothesis:
             # no area holds the root edge: only a dark root reports it
@@ -682,7 +664,7 @@ class DetectorPlan:
             groups = [(positive[ts[0]], np.array(ts)) for ts in by_sign.values()]
         for sign, rows in groups:
             area, hyps, starts, first, _ = self._score(
-                moments, readings[rows], sign, max_outages=max_outages, rho=rho, cap=cap
+                stats, readings[rows], sign, max_outages=max_outages, rho=rho, cap=cap
             )
             # a dark area decides nothing, so it can hold no true outage
             if None in truth or not all(sign[i] for i in truth):

@@ -8,6 +8,10 @@ Design choices
 * ``Tree`` is immutable after construction; derived quantities
   (:class:`CumulativeStats`, :class:`BranchGraph`) are computed once and
   cached by the caller, never stored back on the tree.
+* Every subtree sum is one bottom-up pass, ``_subtree_sums``, over one
+  integer vertex index (position in ``tree.order``). :class:`CumulativeStats`
+  holds the sums of forecast means and variances as arrays over that index:
+  the one moments type the detector, the error analysis and placement read.
 * Branch decomposition keeps a metered edge in the path section *above* the
   meter: the section ends with the edge that carries the sensor, and
   anything further downstream starts a new section.
@@ -21,8 +25,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "VertexId",
@@ -276,34 +283,63 @@ def branch_decompose(
     return BranchGraph(branches=branches, roots=tuple(tops))
 
 
-@dataclass(frozen=True)
-class CumulativeStats:
-    """Subtree-cumulative load statistics, one entry per edge.
+class _Topology(NamedTuple):
+    """Integer vertex index of a tree: ``position[v]`` is ``v``'s index in
+    ``tree.order``, the root at 0, and ``children`` lists ``(i, child
+    positions)`` for every non-root vertex with children, bottom-up."""
 
-    ``mean_below[e]`` / ``var_below[e]`` sum the forecast mean / variance over
-    every vertex at or below the child endpoint of ``e``.
+    position: dict[VertexId, int]
+    children: list[tuple[int, tuple[int, ...]]]
+
+
+def _topology(tree: Tree) -> _Topology:
+    position = {v: i for i, v in enumerate(tree.order)}
+    children = [(i, tuple(map(position.__getitem__, tree.children[v])))
+                for i, v in enumerate(tree.order) if i and tree.children[v]]
+    return _Topology(position, children[::-1])
+
+
+def _subtree_sums(topology: _Topology, values):
+    """Turn per-vertex ``values``, a list of floats or a vertices x trials
+    array, into subtree sums in place and return them. Each vertex adds its
+    children in order, ``(x + c1) + c2``; slot 0, the root, is left as is."""
+    for i, kids in topology.children:
+        s = values[i]
+        for c in kids:
+            s += values[c]
+        values[i] = s
+    return values
+
+
+@dataclass(frozen=True, eq=False)
+class CumulativeStats:
+    """Subtree-cumulative load statistics over the integer vertex index.
+
+    ``mean[position[v]]`` / ``var[position[v]]`` sum the forecast mean /
+    variance over every vertex at or below ``v`` (for an edge, everything it
+    feeds); slot 0, the root, reads 0. ``total_mean`` is the total mean load.
     """
 
-    mean_below: Mapping[EdgeId, float]
-    var_below: Mapping[EdgeId, float]
-    total_mean: float = field(default=0.0)
+    mean: np.ndarray
+    var: np.ndarray
+    total_mean: float
+    position: Mapping[VertexId, int]
+
+    @cached_property
+    def _lists(self) -> tuple[list[float], list[float]]:
+        # ``mean`` and ``var`` for scalar reads, which are faster on lists
+        return self.mean.tolist(), self.var.tolist()
 
 
 def cumulative_stats(tree: Tree) -> CumulativeStats:
-    """Single bottom-up pass accumulating subtree mean and variance sums."""
-    mean_below: dict[EdgeId, float] = {}
-    var_below: dict[EdgeId, float] = {}
-    for v in reversed(tree.order):
-        m = tree.mean[v]
-        s = tree.var[v]
-        for c in tree.children[v]:
-            m += mean_below[c]
-            s += var_below[c]
-        if v != tree.root:
-            mean_below[v] = m
-            var_below[v] = s
-    total = sum(tree.mean[v] for v in tree.edges)
-    return CumulativeStats(mean_below=mean_below, var_below=var_below, total_mean=total)
+    """Subtree mean and variance sums of ``tree``, one bottom-up pass each."""
+    topology = _topology(tree)
+    means = [0.0, *map(tree.mean.__getitem__, tree.edges)]
+    variances = [0.0, *map(tree.var.__getitem__, tree.edges)]
+    total = sum(means)
+    mean_sums = np.array(_subtree_sums(topology, means), dtype=float)
+    var_sums = np.array(_subtree_sums(topology, variances), dtype=float)
+    return CumulativeStats(mean_sums, var_sums, total, topology.position)
 
 
 def _root_edge(tree: Tree) -> EdgeId:

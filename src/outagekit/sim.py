@@ -14,6 +14,7 @@ import json
 import math
 import os
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .detector import Observation, plan_for
 from .hypotheses import _check_max_outages, _check_rho
-from .network import EdgeId, Tree, _sensor_tuple, build_tree
+from .network import EdgeId, Tree, _sensor_tuple, _subtree_sums, _Topology, _topology, build_tree
 from .placement import MODES, Placement, PlacementConfig, _AreaTable, _solve
 
 __all__ = [
@@ -67,8 +68,8 @@ class ForecastModel:
     def __post_init__(self) -> None:
         if self.mode not in ("fixed_kappa", "scaling_law"):
             raise ValueError(f"unknown forecast mode {self.mode!r}")
-        if self.mode == "fixed_kappa" and (self.kappa is None or self.kappa < 0):
-            raise ValueError("fixed_kappa mode needs a non-negative kappa")
+        if self.mode == "fixed_kappa" and not (self.kappa is not None and 0 <= self.kappa < math.inf):
+            raise ValueError(f"fixed_kappa mode needs a finite non-negative kappa, got {self.kappa}")
 
     def sigma(self, mean: float) -> float:
         if mean <= 0.0:
@@ -113,20 +114,25 @@ def random_tree(
         {"id": "v0", "parent": None},
         {"id": "v1", "parent": "v0", "mean": rng.uniform(lo, hi)},
     ]
+    # vertices with capacity left, and their ids kept in sorted order
     open_slots = {"v1": max_children}
+    keys = ["v1"]
     for i in range(2, n):
-        parent = rng.choice(sorted(open_slots))
+        parent = rng.choice(keys)
         open_slots[parent] -= 1
         if open_slots[parent] == 0:
             del open_slots[parent]
+            del keys[bisect_left(keys, parent)]
         vid = f"v{i}"
         records.append({"id": vid, "parent": parent, "mean": rng.uniform(lo, hi)})
         open_slots[vid] = max_children
+        insort(keys, vid)
     return build_tree(records)
 
 
 def _sample_readings(
     tree: Tree,
+    topology: _Topology,
     sensors: Sequence[EdgeId],
     hyp: frozenset,
     n: int,
@@ -136,37 +142,25 @@ def _sample_readings(
 
     Trial ``t`` takes row ``t`` of one standard-normal draw over the vertices
     with positive variance in topological order: the stream ``n`` successive
-    one-trial calls would use. Subtree sums add a vertex's draw to its
-    children's sums taken in order, as a scalar walk would. ``sensors`` come
-    checked, from :func:`~outagekit.network._sensor_tuple` or a plan.
+    one-trial calls would use. The loads fill a vertices x trials array over
+    ``topology``, the rows below an outage are zeroed, and one
+    :func:`~outagekit.network._subtree_sums` pass adds each vertex's
+    children in order, ``(x + c1) + c2``. ``sensors`` come checked, from
+    :func:`~outagekit.network._sensor_tuple` or a plan.
     """
+    position = topology.position
     for e in hyp:
-        if e not in tree.parent or e == tree.root:
+        if position.get(e, 0) == 0:
             raise ValueError(f"outage on unknown edge {e!r}")
-    connected: dict[str, bool] = {tree.root: True}
-    for v in tree.edges:
-        connected[v] = connected[tree.parent[v]] and v not in hyp  # type: ignore[index]
-    sd = {v: math.sqrt(tree.var[v]) for v in tree.edges}
-    noisy = [v for v in tree.edges if sd[v] > 0]
-    z = dict(zip(noisy, rng.standard_normal((n, len(noisy))).T))
-
-    wanted = set(sensors)
-    metered: dict[str, np.ndarray] = {}
-    below: dict[str, np.ndarray] = {}
-    for v in reversed(tree.edges):
-        if not connected[v]:
-            x = np.zeros(n)
-        elif v in z:
-            x = tree.mean[v] + sd[v] * z[v]
-        else:
-            x = np.full(n, tree.mean[v])
-        below[v] = x + sum(below.pop(c) for c in tree.children[v])
-        if v in wanted:
-            metered[v] = below[v]
-    out = np.empty((n, len(sensors)))
-    for j, s in enumerate(sensors):
-        out[:, j] = metered[s]
-    return out
+    mean = np.array([0.0, *map(tree.mean.__getitem__, tree.edges)])
+    sd = np.sqrt([0.0, *map(tree.var.__getitem__, tree.edges)])
+    noisy = np.flatnonzero(sd > 0)
+    z = rng.standard_normal((n, len(noisy)))
+    loads = np.repeat(mean[:, None], n, axis=1)
+    loads[noisy] += sd[noisy, None] * z.T
+    loads[[position[v] for e in hyp for v in tree.descendant_vertices(e)]] = 0.0
+    _subtree_sums(topology, loads)
+    return np.ascontiguousarray(loads[[position[s] for s in sensors]].T)
 
 
 def simulate_outage(
@@ -187,7 +181,7 @@ def simulate_outage(
     if rng is None:
         rng = np.random.default_rng(seed)
     sensor_list = _sensor_tuple(tree, sensors)
-    row = _sample_readings(tree, sensor_list, frozenset(h_true), 1, rng)[0]
+    row = _sample_readings(tree, _topology(tree), sensor_list, frozenset(h_true), 1, rng)[0]
     flows = dict(zip(sensor_list, row.tolist()))
     forecasts = {v: tree.mean[v] for v in tree.edges}
     return Observation(flows=flows, forecasts=forecasts)
@@ -225,7 +219,9 @@ def empirical_detection_rate(
     rng = np.random.default_rng(seed)
     right = 0
     for start in range(0, n_trials, MC_CHUNK):
-        readings = _sample_readings(tree, plan.sensors, hyp, min(MC_CHUNK, n_trials - start), rng)
+        readings = _sample_readings(
+            tree, plan._topology, plan.sensors, hyp, min(MC_CHUNK, n_trials - start), rng
+        )
         right += int(
             plan.matches(moments, readings, hyp, max_outages=max_outages, rho=rho, cap=cap).sum()
         )
@@ -256,6 +252,11 @@ class SweepConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         _check_tree_shape(self.max_children, self.mean_range)
+        for kappa in self.kappas:
+            ForecastModel(kappa=kappa)
+        for target in self.targets:
+            if not (0.0 < target < math.inf):
+                raise ValueError(f"targets must be finite and positive, got {target}")
 
 
 @dataclass(frozen=True)
@@ -287,12 +288,8 @@ def sweep(config: SweepConfig = SweepConfig()) -> SweepResult:
     the target axis isolates the effect of the error budget. The targets of
     one kappa share an area table, so each area is evaluated once per tree.
     """
-    base = random_tree(
-        config.n_vertices,
-        seed=config.seed,
-        max_children=config.max_children,
-        mean_range=config.mean_range,
-    )
+    shape = {"max_children": config.max_children, "mean_range": config.mean_range}
+    base = random_tree(config.n_vertices, seed=config.seed, **shape)
     pconfig = PlacementConfig(max_outages=config.max_outages)
     rows = []
     hists = {}
@@ -332,10 +329,6 @@ def write_sweep_histograms(result: SweepResult, out_dir: str) -> list[str]:
         name = f"hist_kappa{kappa:g}_target{target:g}.json"
         path = os.path.join(out_dir, name)
         with open(path, "w") as fh:
-            json.dump(
-                {"kappa": kappa, "target": target, "errors": list(errors)},
-                fh,
-                indent=1,
-            )
+            json.dump({"kappa": kappa, "target": target, "errors": list(errors)}, fh, indent=1)
         written.append(path)
     return written

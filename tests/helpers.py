@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -125,6 +126,53 @@ def caterpillar_parents(spine: int) -> dict[str, str]:
         parents[f"s{i}"] = f"s{i - 1}"
         parents[f"l{i}"] = f"s{i}"
     return parents
+
+
+def random_tree_oracle(
+    n: int,
+    *,
+    seed: int = 0,
+    max_children: int = 3,
+    mean_range: tuple[float, float] = (0.5, 1.5),
+) -> Tree:
+    """The quadratic generator ``sim.random_tree`` replaced: it sorts the
+    open-slot ids on every draw, so it picks from the same list in the same
+    order and must build the same tree."""
+    rng = random.Random(seed)
+    lo, hi = mean_range
+    records = [
+        {"id": "v0", "parent": None},
+        {"id": "v1", "parent": "v0", "mean": rng.uniform(lo, hi)},
+    ]
+    open_slots = {"v1": max_children}
+    for i in range(2, n):
+        parent = rng.choice(sorted(open_slots))
+        open_slots[parent] -= 1
+        if open_slots[parent] == 0:
+            del open_slots[parent]
+        vid = f"v{i}"
+        records.append({"id": vid, "parent": parent, "mean": rng.uniform(lo, hi)})
+        open_slots[vid] = max_children
+    return build_tree(records)
+
+
+def sample_readings_oracle(
+    tree: Tree, sensors, hyp, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-trial, per-sensor scalar walk over the draws ``sim._sample_readings``
+    takes: each sensor sums the loads of its subtree that no outage edge
+    disconnects, one vertex at a time."""
+    noisy = [v for v in tree.edges if tree.var[v] > 0]
+    z = rng.standard_normal((n, len(noisy)))
+    dark = set().union(*(tree.descendant_vertices(e) for e in hyp))
+    out = np.empty((n, len(sensors)))
+    for t in range(n):
+        load = {v: tree.mean[v] for v in tree.edges}
+        for v, x in zip(noisy, z[t].tolist()):
+            load[v] += math.sqrt(tree.var[v]) * x
+        for j, s in enumerate(sensors):
+            out[t, j] = sum(load[v] for v in tree.descendant_vertices(s) if v not in dark)
+    return out
 
 
 def sensed_parent_oracle(tree: Tree, sensors) -> list[int]:
@@ -642,12 +690,12 @@ def detect_centralized_oracle(
         mean = np.empty(len(live))
         rem_var = np.empty(len(live))
         for i, s in enumerate(live):
-            mu = stats.mean_below[s]
-            var = stats.var_below[s]
+            mu = stats.mean[stats.position[s]]
+            var = stats.var[stats.position[s]]
             for e in h:
                 if e != s and tree.is_ancestor_edge(s, e):
-                    mu -= stats.mean_below[e]
-                    var -= stats.var_below[e]
+                    mu -= stats.mean[stats.position[e]]
+                    var -= stats.var[stats.position[e]]
             mean[i] = mu
             rem_var[i] = var
         cov = np.zeros((len(live), len(live)))

@@ -324,6 +324,27 @@ def test_sweep_rejects_bad_tree_shape(capsys, tmp_path, fields, named):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"kappas": [float("nan")]}, "kappa"),
+        ({"kappas": [0.1, float("inf")]}, "kappa"),
+        ({"kappas": [-0.2]}, "kappa"),
+        ({"targets": [0]}, "targets"),
+        ({"targets": [0.1, -0.3]}, "targets"),
+        ({"targets": [float("inf")]}, "targets"),
+    ],
+)
+def test_sweep_rejects_bad_kappas_and_targets(capsys, tmp_path, fields, named):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_vertices": 30, **fields}))
+    code, out, err = run(capsys, ["sweep", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert out == ""
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_rejects_negative_outage_bound(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"n_vertices": 10, "max_outages": -1}))

@@ -463,6 +463,21 @@ def test_matches_groups_trials_by_sign_row():
         assert any(want)
 
 
+def test_stats_of_another_topology_are_rejected():
+    tree = ForecastModel("fixed_kappa", kappa=0.1).apply(random_tree(30, seed=1))
+    other = ForecastModel("fixed_kappa", kappa=0.1).apply(random_tree(30, seed=2))
+    plan = DetectorPlan(tree, ["v3"])
+    obs = simulate_outage(tree, ["v3"], set(), seed=0)
+    readings = plan.readings(obs.flows)[None, :]
+    for stats in (cumulative_stats(other), plan_for(other, ["v3"])._moments(other)):
+        with pytest.raises(ValueError, match="another feeder"):
+            plan.detect(stats, obs.flows)
+        with pytest.raises(ValueError, match="another feeder"):
+            plan.matches(stats, readings, frozenset())
+    # an equal index built apart from the plan is accepted
+    assert plan.detect(cumulative_stats(tree), obs.flows) == detect(tree, ["v3"], obs)
+
+
 @pytest.mark.parametrize("rho", [float("nan"), 0.0, -1.0, float("inf")])
 def test_detect_rejects_bad_rho(rho):
     tree = ForecastModel("fixed_kappa", kappa=0.1).apply(random_tree(10, seed=1))

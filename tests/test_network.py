@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from helpers import DEEP_PARENTS, tree_from
+from helpers import DEEP_PARENTS, caterpillar_parents, tree_from
+from outagekit.detector import plan_for
 from outagekit.network import (
     FeederFormatError,
     branch_decompose,
@@ -203,18 +205,18 @@ def test_cumulative_stats_five_edge():
         variances=1.0,
     )
     stats = cumulative_stats(t)
-    assert stats.mean_below["e1"] == 5.0
-    assert stats.mean_below["e5"] == 1.0
-    assert stats.var_below["e2"] == 4.0
+    assert stats.mean[stats.position["e1"]] == 5.0
+    assert stats.mean[stats.position["e5"]] == 1.0
+    assert stats.var[stats.position["e2"]] == 4.0
     assert stats.total_mean == 5.0
 
 
 def test_cumulative_stats_deep(deep_tree):
     stats = cumulative_stats(deep_tree)
     # e8 keeps both lower junctions in its subtree
-    assert stats.mean_below["e8"] == 11.0
-    assert stats.mean_below["e4"] == 4.0
-    assert stats.mean_below["e1"] == 18.0
+    assert stats.mean[stats.position["e8"]] == 11.0
+    assert stats.mean[stats.position["e4"]] == 4.0
+    assert stats.mean[stats.position["e1"]] == 18.0
 
 
 def test_cumulative_stats_match_subtree_sums():
@@ -225,8 +227,30 @@ def test_cumulative_stats_match_subtree_sums():
         stats = cumulative_stats(t)
         for e in t.edges:
             sub = t.descendant_vertices(e)
-            assert stats.mean_below[e] == pytest.approx(sum(t.mean[v] for v in sub))
-            assert stats.var_below[e] == pytest.approx(sum(t.var[v] for v in sub))
+            assert stats.mean[stats.position[e]] == pytest.approx(sum(t.mean[v] for v in sub))
+            assert stats.var[stats.position[e]] == pytest.approx(sum(t.var[v] for v in sub))
+
+
+def _same_floats(a, b) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_cumulative_stats_equal_the_plan_moments_bit_for_bit():
+    rng = random.Random(47)
+    trees = []
+    for _ in range(20):
+        t = random_tree(rng.randint(2, 200), seed=rng.randrange(10**6), max_children=rng.randint(1, 4))
+        trees.append(t.with_loads(var={e: rng.uniform(0.01, 3.0) for e in t.edges}))
+    trees.append(tree_from(caterpillar_parents(3000), means=1.1, variances=0.07))
+    for t in trees:
+        stats = cumulative_stats(t)
+        moments = plan_for(t, ())._moments(t)
+        assert stats.position == moments.position
+        assert list(stats.position) == list(t.order)
+        assert _same_floats(stats.mean, moments.mean)
+        assert _same_floats(stats.var, moments.var)
+        assert stats.total_mean == moments.total_mean
+        assert stats.mean[0] == stats.var[0] == 0.0
 
 
 def test_load_feeder_adds_root_sensor(tmp_path):

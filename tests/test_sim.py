@@ -17,15 +17,19 @@ from helpers import (
     DEEP_PARENTS,
     FIVE_EDGE_PARENTS,
     error_distribution_oracle,
+    caterpillar_parents,
     per_trial_detection_rate,
+    random_tree_oracle,
+    sample_readings_oracle,
     tree_from,
 )
-from outagekit.detector import build_areas, detect
+from outagekit.detector import build_areas, detect, plan_for
 from outagekit.errors import all_missed_detection, pattern_hypothesis_sets
 from outagekit.network import build_tree, cumulative_stats
 from outagekit.placement import PlacementConfig, solve_feasibility
 from outagekit.sim import (
     ForecastModel,
+    _sample_readings,
     SweepConfig,
     empirical_detection_rate,
     kappa_of_load,
@@ -59,6 +63,29 @@ def test_forecast_model_modes():
         ForecastModel("other")
     with pytest.raises(ValueError):
         ForecastModel("fixed_kappa", kappa=-0.1)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, -0.1])
+def test_forecast_model_rejects_non_finite_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa"):
+        ForecastModel("fixed_kappa", kappa=kappa)
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        (dict(kappas=(0.1, math.nan)), "kappa"),
+        (dict(kappas=(math.inf,)), "kappa"),
+        (dict(kappas=(-0.1,)), "kappa"),
+        (dict(targets=(0.0,)), "targets"),
+        (dict(targets=(0.1, -0.2)), "targets"),
+        (dict(targets=(math.nan,)), "targets"),
+        (dict(targets=(math.inf,)), "targets"),
+    ],
+)
+def test_sweep_config_rejects_bad_kappas_and_targets(fields, named):
+    with pytest.raises(ValueError, match=named):
+        SweepConfig(n_vertices=20, **fields)
 
 
 def test_forecast_model_apply(five_edge_tree):
@@ -103,6 +130,15 @@ def test_tree_shape_arguments_are_checked():
     assert set(chain.mean[e] for e in chain.edges) == {0.7}
 
 
+def test_random_tree_equals_the_sorting_generator():
+    for n, seed, max_children in [
+        (2, 0, 3), (3, 1, 1), (40, 2, 1), (60, 3, 2), (120, 4, 3), (300, 5, 5), (1000, 6, 3),
+    ]:
+        got = random_tree(n, seed=seed, max_children=max_children)
+        want = random_tree_oracle(n, seed=seed, max_children=max_children)
+        assert got == want
+
+
 def test_random_tree_population_shape_bands():
     depths = []
     branching = []
@@ -124,6 +160,44 @@ def test_simulate_exact_when_noise_free():
     assert obs.flows == {"e1": 4.0, "e3": 2.0}
     obs = simulate_outage(t, ["e1", "e3"], frozenset({"e1"}))
     assert obs.flows == {"e1": 0.0, "e3": 0.0}
+
+
+def _sampling_cases():
+    for seed in (1, 2):
+        tree = ForecastModel("fixed_kappa", kappa=0.3).apply(random_tree(60, seed=seed))
+        edges = tree.edges
+        sensors = sorted({edges[0], *edges[::3]})
+        yield tree, sensors, frozenset()
+        yield tree, sensors, frozenset({edges[4]})
+        yield tree, sensors, frozenset({edges[9], edges[30]})
+    # zero-variance vertices draw nothing; the outage darkens most sensors
+    deep = tree_from(DEEP_PARENTS, variances={v: 0.0 if v in ("e5", "e9") else 0.02 for v in DEEP_PARENTS})
+    yield deep, ["e1", "e4", "e11", "e14"], frozenset({"e9"})
+    chain = tree_from(caterpillar_parents(40), variances=0.05)
+    yield chain, ["s1", "s10", "l20", "s30"], frozenset({"s25"})
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_sampled_readings_match_scalar_oracle(case):
+    tree, sensors, outage = list(_sampling_cases())[case]
+    plan = plan_for(tree, sensors)
+    got = _sample_readings(tree, plan._topology, plan.sensors, outage, 25, np.random.default_rng(case))
+    want = sample_readings_oracle(tree, plan.sensors, outage, 25, np.random.default_rng(case))
+    assert got.shape == want.shape == (25, len(plan.sensors))
+    dark = [any(tree.is_ancestor_edge(e, s) for e in outage) for s in plan.sensors]
+    assert (got[:, dark] == 0.0).all()
+    live = ~np.array(dark)
+    np.testing.assert_allclose(got[:, live], want[:, live], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_one_trial_calls_equal_one_batch(case):
+    tree, sensors, outage = list(_sampling_cases())[case]
+    plan = plan_for(tree, sensors)
+    batch = _sample_readings(tree, plan._topology, plan.sensors, outage, 12, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    rows = [_sample_readings(tree, plan._topology, plan.sensors, outage, 1, rng)[0] for _ in range(12)]
+    assert np.array_equal(batch, np.array(rows))
 
 
 def test_simulate_zero_iff_disconnected():
